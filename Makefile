@@ -87,10 +87,8 @@ fuzz:
 # the serving engine and the streaming-session stepper, folded into a
 # machine-readable report ($(BENCH_OUT)): per-benchmark ns/op, B/op,
 # allocs/op, the paired speedup rows (serial vs parallel kernels,
-# Jacobi vs multigrid preconditioning, float64 vs float32 V-cycles,
-# Jacobi vs Chebyshev smoothing, sequential vs block multi-RHS CG,
-# CSR vs SELL-C-σ SpMV) and
-# the streaming frames/s rows, stamped with the Go version and core
+# Jacobi vs multigrid preconditioning, sequential vs block multi-RHS
+# CG, CSR vs SELL-C-σ SpMV) and the streaming frames/s rows, stamped with the Go version and core
 # count of the generating machine. The num suite runs -count 3 so the
 # committed speedup rows are medians (see cmd/benchjson), not single
 # samples of a drifting box. BENCH_PR2.json (pre-multigrid),
@@ -112,38 +110,33 @@ bench-serving:
 
 # Solver regression gate: runs the paired preconditioner benchmarks
 # (BenchmarkCGPoisson64x64, BenchmarkCGPoisson128x128, BenchmarkCGStack3D
-# — each a /jacobi vs /mg couple) plus the mixed-precision
-# (BenchmarkMGCG512x512F32: /f64 vs /f32 on the 512-class grid),
-# Chebyshev-smoothing (BenchmarkMGCGStack128x4Cheby: /jacobi-smooth vs
-# /cheby on the stacked-die operator) and block multi-RHS
+# — each a /jacobi vs /mg couple) plus the block multi-RHS couple
 # (BenchmarkBlockCG128x128: /seq vs /block, gated on the deterministic
-# rows/op metric) couples, plus the SELL-C-σ layout couples
-# (BenchmarkSpMV*: /csr vs /sell on the 256²/512²/stacked-die
-# operators), and fails if any optimized path drops below 1.0x its
-# baseline, or if any pair goes missing. -count 3 lets benchjson gate
+# rows/op metric) and the SELL-C-σ layout couples (BenchmarkSpMV*:
+# /csr vs /sell on the 256²/512²/stacked-die operators), and fails if
+# any optimized path drops below 1.0x its baseline, or if any pair goes
+# missing. -count 3 lets benchjson gate
 # on per-benchmark medians, so a CPU-frequency dip on a shared box
 # cannot flake a timing ratio.
 bench-compare:
-	$(GO) test -run xxx -bench 'BenchmarkCGPoisson|BenchmarkCGStack3D|BenchmarkMGCG|BenchmarkBlockCG|BenchmarkSpMV' -count 3 -benchmem ./internal/num > /tmp/bench_mg.txt
+	$(GO) test -run xxx -bench 'BenchmarkCGPoisson|BenchmarkCGStack3D|BenchmarkBlockCG|BenchmarkSpMV' -count 3 -benchmem ./internal/num > /tmp/bench_mg.txt
 	$(GO) run ./cmd/benchjson -min-mg-speedup 1.0 -min-speedup 1.0 -o /dev/null /tmp/bench_mg.txt
 
 # Static allocation guard for the kernel hot paths. In
 # internal/num/parallel.go the only allowed heap escapes are the
 # one-time pool allocations (the parRun descriptor and its partials
-# buffer built in sync.Pool.New); in internal/num/csr32.go only the
-# setup-time mirror construction in NewCSR32 may allocate — the float32
-# SpMV itself must not; in internal/num/sellcs.go only the SELL-C-σ
-# constructors (NewSELLCS/newSELLCS32, run once at solver setup) may
-# allocate — the sliced kernels' accumulators must stay on the stack.
+# buffer built in sync.Pool.New); in internal/num/sellcs.go only the
+# SELL-C-σ constructor (NewSELLCS, run once at solver setup) may
+# allocate — the sliced kernel's accumulators must stay on the stack.
 # Anything else — a closure capturing operands, a descriptor escaping
 # per call — would put an allocation on every kernel op and break the
 # zero-allocs/op solve loop, so it fails the gate. The dynamic twin of
 # this guard is TestKrylovWorkspaceZeroAlloc.
 escape-check:
 	@out=$$($(GO) build -gcflags=-m ./internal/num 2>&1 \
-		| grep -E 'parallel\.go|csr32\.go|sellcs\.go' \
+		| grep -E 'parallel\.go|sellcs\.go' \
 		| grep -E 'escapes to heap|moved to heap' \
-		| grep -vE 'new\(parRun\)|make\(\[\]float64, 2\*maxKernelChunks\)|make\(\[\]float64, 128\)|&CSR32\{\.\.\.\}|make\(\[\]int32, len\(a\.ColIdx\)\)|make\(\[\]float32, len\(a\.Val\)\)|make\(\[\]int32, rows\)|make\(\[\]int, nSlices \+ 1\)|make\(\[\]int32, padded\)|make\(\[\]float64, padded\)|make\(\[\]float32, len\(s\.Val\)\)|&SELLCS\{\.\.\.\}|&SELLCS32\{\.\.\.\}'); \
+		| grep -vE 'new\(parRun\)|make\(\[\]float64, 2\*maxKernelChunks\)|make\(\[\]float64, 128\)|make\(\[\]int32, rows\)|make\(\[\]int, nSlices \+ 1\)|make\(\[\]int32, padded\)|make\(\[\]float64, padded\)|&SELLCS\{\.\.\.\}'); \
 	if [ -n "$$out" ]; then \
 		echo "escape-check: unexpected heap escapes in the kernel hot path:"; \
 		echo "$$out"; exit 1; \

@@ -4,10 +4,8 @@
 // line, and emits a single JSON document with per-benchmark ns/op,
 // B/op, allocs/op and any custom metrics, plus speedup pairs for
 // benchmarks that expose paired sub-benchmarks: /serial vs /parallel
-// (kernel threading), /jacobi vs /mg (preconditioner), /f64 vs /f32
-// (mixed-precision V-cycles), /jacobi-smooth vs /cheby (smoother),
-// /seq vs /block (multi-RHS CG) and /csr vs /sell plus /csr32 vs
-// /sell32 (SELL-C-σ SpMV layout).
+// (kernel threading), /jacobi vs /mg (preconditioner), /seq vs /block
+// (multi-RHS CG) and /csr vs /sell (SELL-C-σ SpMV layout).
 //
 // Usage:
 //
@@ -22,9 +20,9 @@
 //
 // The floors turn the report into a regression gate: after writing the
 // output, -min-mg-speedup exits nonzero if any jacobi-vs-mg pair falls
-// below the threshold, and -min-speedup does the same for the f32,
-// cheby, blockcg and sell pairings — each gated kind must also be
-// present at all (a silently skipped benchmark must not pass the gate).
+// below the threshold, and -min-speedup does the same for the blockcg
+// and sell pairings — each gated kind must also be present at all (a
+// silently skipped benchmark must not pass the gate).
 // `make bench-compare` runs both at 1.0 so no optimized solver path can
 // quietly regress below its baseline on the reference grids.
 //
@@ -103,20 +101,14 @@ type FrameRate struct {
 var suffixPairs = []struct{ kind, baseline, variant string }{
 	{"parallel", "/serial", "/parallel"},
 	{"mg", "/jacobi", "/mg"},
-	{"f32", "/f64", "/f32"},
-	{"cheby", "/jacobi-smooth", "/cheby"},
 	{"blockcg", "/seq", "/block"},
 	{"sell", "/csr", "/sell"},
-	{"sell32", "/csr32", "/sell32"},
 }
 
 // gatedKinds are the pairings -min-speedup enforces: each must appear at
-// least once and every pair must meet the floor. They cover the four
-// solver-optimization axes — mixed-precision V-cycles, Chebyshev
-// smoothing, block multi-RHS CG and the SELL-C-σ SpMV layout. The
-// float32 sell32 pairing stays ungated: both sides already run the
-// narrow path, so the layout delta there is informational.
-var gatedKinds = []string{"f32", "cheby", "blockcg", "sell"}
+// least once and every pair must meet the floor. They cover block
+// multi-RHS CG and the SELL-C-σ SpMV layout.
+var gatedKinds = []string{"blockcg", "sell"}
 
 // Report is the emitted document.
 type Report struct {
@@ -139,7 +131,7 @@ func main() {
 	minMG := flag.Float64("min-mg-speedup", 0,
 		"exit nonzero if any jacobi-vs-mg pair's speedup falls below this, or none exists (0 disables)")
 	minSpeedup := flag.Float64("min-speedup", 0,
-		"exit nonzero unless every f32, cheby and blockcg pair exists and meets this floor (0 disables)")
+		"exit nonzero unless every blockcg and sell pair exists and meets this floor (0 disables)")
 	flag.Parse()
 
 	rep := &Report{

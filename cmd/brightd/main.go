@@ -36,9 +36,7 @@
 // Usage:
 //
 //	brightd [-addr :8080] [-workers N] [-queue N] [-cache N]
-//	        [-kernel-threads N] [-solver-precond auto|jacobi|mg]
-//	        [-mg-precision auto|float64|float32] [-mg-smoother auto|jacobi|cheby]
-//	        [-sparse-format auto|csr|sell] [-sweep-segment N]
+//	        [-kernel-threads N] [-sweep-segment N]
 //	        [-request-timeout 5m] [-drain-timeout 30s] [-debug-addr :6060]
 //	        [-max-sessions N] [-session-idle-timeout 2m] [-session-ring N]
 //
@@ -73,26 +71,8 @@
 // environment variable. On a multi-core box serving few concurrent
 // requests, raise it toward the core count; under a saturated worker
 // pool, 1 avoids oversubscription (the workers already use every core).
-//
-// -solver-precond picks the preconditioner policy for every iterative
-// solve (default from BRIGHT_SOLVER_PRECOND): auto selects multigrid
-// for large symmetric systems and Jacobi elsewhere; jacobi and mg force
-// one family, for A/B runs and for grids where the heuristic guesses
-// wrong.
-//
-// -mg-precision and -mg-smoother tune the multigrid preconditioner
-// behind the mg/auto policies (defaults from BRIGHT_MG_PRECISION and
-// BRIGHT_MG_SMOOTHER): float32 runs the V-cycle in single precision
-// inside the float64 Krylov loop, falling back to float64 per operator
-// when the reduced precision stalls; cheby swaps the damped-Jacobi
-// smoother for a degree-3 Chebyshev polynomial with eigenvalue bounds
-// estimated once at setup.
-//
-// -sparse-format picks the SpMV storage layout for every iterative
-// solve (default from BRIGHT_SPARSE_FORMAT): auto converts large
-// operators to the SELL-C-σ sliced-ELLPACK layout (falling back to CSR
-// when the padding overhead is too high); csr and sell force one layout
-// for A/B runs.
+// The solvers' preconditioner and sparse layout are not configurable:
+// each solver picks them from its operator (see num.NewSparseSolverSymmetric).
 //
 // -sweep-segment bounds how many grid points one stealable sweep
 // segment carries (0 = default, negative disables chain splitting and
@@ -117,7 +97,6 @@ import (
 	"time"
 
 	"bright/internal/cluster"
-	"bright/internal/num"
 	"bright/internal/sim"
 	"bright/internal/stream"
 )
@@ -134,14 +113,6 @@ func envInt(name string, def int) int {
 	return def
 }
 
-// envStr reads a string environment variable, returning def when unset.
-func envStr(name, def string) string {
-	if s := os.Getenv(name); s != "" {
-		return s
-	}
-	return def
-}
-
 func main() {
 	var (
 		addr        = flag.String("addr", ":8080", "listen address")
@@ -154,14 +125,6 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "shutdown drain budget")
 		debugAddr    = flag.String("debug-addr", "",
 			"opt-in debug listener serving /debug/pprof/ (empty = disabled)")
-		precond = flag.String("solver-precond", envStr("BRIGHT_SOLVER_PRECOND", "auto"),
-			"preconditioner policy for the iterative solvers: auto, jacobi or mg (env BRIGHT_SOLVER_PRECOND)")
-		mgPrecision = flag.String("mg-precision", envStr("BRIGHT_MG_PRECISION", "auto"),
-			"multigrid V-cycle arithmetic: auto, float64 or float32 (env BRIGHT_MG_PRECISION)")
-		mgSmoother = flag.String("mg-smoother", envStr("BRIGHT_MG_SMOOTHER", "auto"),
-			"multigrid smoother: auto, jacobi or cheby (env BRIGHT_MG_SMOOTHER)")
-		sparseFormat = flag.String("sparse-format", envStr("BRIGHT_SPARSE_FORMAT", "auto"),
-			"SpMV storage layout: auto, csr or sell (env BRIGHT_SPARSE_FORMAT)")
 		sweepSegment = flag.Int("sweep-segment", 0,
 			"max grid points per stealable sweep segment (0 = default, negative disables chain splitting)")
 		maxSessions = flag.Int("max-sessions", 8,
@@ -204,27 +167,6 @@ func main() {
 		})
 		return
 	}
-
-	pc, err := num.ParsePrecond(*precond)
-	if err != nil {
-		log.Fatalf("brightd: -solver-precond: %v", err)
-	}
-	num.SetDefaultPrecond(pc)
-	prec, err := num.ParseMGPrecision(*mgPrecision)
-	if err != nil {
-		log.Fatalf("brightd: -mg-precision: %v", err)
-	}
-	num.SetDefaultMGPrecision(prec)
-	sm, err := num.ParseMGSmoother(*mgSmoother)
-	if err != nil {
-		log.Fatalf("brightd: -mg-smoother: %v", err)
-	}
-	num.SetDefaultMGSmoother(sm)
-	sf, err := num.ParseSparseFormat(*sparseFormat)
-	if err != nil {
-		log.Fatalf("brightd: -sparse-format: %v", err)
-	}
-	num.SetDefaultSparseFormat(sf)
 
 	if *debugAddr != "" {
 		dm := http.NewServeMux()

@@ -250,7 +250,7 @@ func benchPrecond(b *testing.B, a *CSR, shape GridShape, tol float64) {
 		}
 	}
 	b.Run("jacobi", func(b *testing.B) { run(b, NewJacobi(a)) })
-	mg, err := NewGMG(a, shape, MGOptions{})
+	mg, err := NewGMG(a, shape)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -300,79 +300,6 @@ func stack3D(nx, ny, nz int, wz float64) *CSR {
 		}
 	}
 	return c.ToCSR()
-}
-
-// BenchmarkMGCG512x512F32 pairs /f64 and /f32 MG-CG solves on the
-// 512x512 Poisson grid — the suffix couple cmd/benchjson keys on for
-// the mixed-precision speedup rows. Both sides run the Chebyshev
-// smoother (the production default after this PR) so the pair isolates
-// the precision axis; the 512-class grid is where the float32
-// hierarchy's halved memory traffic shows up — at cache-resident sizes
-// the scalar kernels are compute-bound and the win vanishes. Hierarchy
-// setup (including the float32 mirror) happens outside the timed loop,
-// matching how the serving paths cache the preconditioner per operator.
-func BenchmarkMGCG512x512F32(b *testing.B) {
-	a := laplacian2D(512)
-	shape := GridShape{NX: 512, NY: 512}
-	rng := rand.New(rand.NewSource(5))
-	rhs := make([]float64, a.Rows)
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-	}
-	run := func(b *testing.B, prec MGPrecision) {
-		mg, err := NewGMG(a, shape, MGOptions{Smoother: SmootherCheby, Precision: prec})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if mg.Precision() != prec {
-			b.Fatalf("precision %v not active", prec)
-		}
-		x := make([]float64, a.Rows)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			Fill(x, 0)
-			if _, err := CG(a, rhs, x, IterOptions{Tol: 1e-8, M: mg}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("f64", func(b *testing.B) { run(b, PrecisionFloat64) })
-	b.Run("f32", func(b *testing.B) { run(b, PrecisionFloat32) })
-}
-
-// BenchmarkMGCGStack128x4Cheby pairs /jacobi-smooth and /cheby MG-CG
-// solves on the 128x128x4 stacked-die operator with strong through-plane
-// coupling (wz=6) — the smoother couple of the bench report, on the
-// operator class the paper's MPSoC stacks actually produce. Full
-// coarsening cannot represent the xy-oscillatory/z-smooth modes that
-// strong inter-layer coupling pushes below the damped-Jacobi smoothing
-// band, so the Jacobi-smoothed hierarchy degrades toward plain CG while
-// the Chebyshev window [chebyLoFrac*rho, chebyHiFrac*rho] still covers
-// them. Eigenvalue estimation runs at setup, outside the timed loop.
-func BenchmarkMGCGStack128x4Cheby(b *testing.B) {
-	a := stack3D(128, 128, 4, 6)
-	shape := GridShape{NX: 128, NY: 128, NZ: 4}
-	rng := rand.New(rand.NewSource(6))
-	rhs := make([]float64, a.Rows)
-	for i := range rhs {
-		rhs[i] = rng.NormFloat64()
-	}
-	run := func(b *testing.B, sm MGSmoother) {
-		mg, err := NewGMG(a, shape, MGOptions{Smoother: sm})
-		if err != nil {
-			b.Fatal(err)
-		}
-		x := make([]float64, a.Rows)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			Fill(x, 0)
-			if _, err := CG(a, rhs, x, IterOptions{Tol: 1e-8, MaxIter: 4 * a.Rows, M: mg}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("jacobi-smooth", func(b *testing.B) { run(b, SmootherJacobi) })
-	b.Run("cheby", func(b *testing.B) { run(b, SmootherCheby) })
 }
 
 // BenchmarkBlockCG128x128 pairs /seq (eight one-RHS CG solves) against
@@ -451,13 +378,12 @@ func BenchmarkCGWarmWorkspace(b *testing.B) {
 	}
 }
 
-// benchSpMV runs the sparse-layout couples on one operator: /csr vs
-// /sell (float64 CSR gather vs SELL-C-σ sliced kernel) and /csr32 vs
-// /sell32 (the float32 mirrors). Each sub reports rows/op — the
-// deterministic traversal metric benchjson uses to sanity-match the
-// pair — and the /csr-vs-/sell wall-clock ratio is the gated SELL
-// speedup row in make bench-compare. The formats are built directly
-// (no EnsureFormat) so each sub times exactly one kernel.
+// benchSpMV runs the sparse-layout couple on one operator: /csr vs
+// /sell (CSR gather vs SELL-C-σ sliced kernel). Each sub reports
+// rows/op — the deterministic traversal metric benchjson uses to
+// sanity-match the pair — and the wall-clock ratio is the gated SELL
+// speedup row in make bench-compare. The SELL mirror is built directly
+// (not attached to a) so each sub times exactly one kernel.
 func benchSpMV(b *testing.B, a *CSR) {
 	x := make([]float64, a.Cols)
 	for i := range x {
@@ -468,17 +394,6 @@ func benchSpMV(b *testing.B, a *CSR) {
 	if s == nil {
 		b.Fatal("NewSELLCS returned nil")
 	}
-	a32 := NewCSR32(a)
-	if a32 == nil {
-		b.Fatal("NewCSR32 returned nil")
-	}
-	s32 := newSELLCS32(s)
-	if s32 == nil {
-		b.Fatal("newSELLCS32 returned nil")
-	}
-	x32 := make([]float32, a.Cols)
-	demote(x32, x)
-	y32 := make([]float32, a.Rows)
 	run := func(b *testing.B, f func()) {
 		rows0 := spmvRowsTraversed.Value()
 		b.ResetTimer()
@@ -489,8 +404,6 @@ func benchSpMV(b *testing.B, a *CSR) {
 	}
 	b.Run("csr", func(b *testing.B) { run(b, func() { a.MulVec(x, y) }) })
 	b.Run("sell", func(b *testing.B) { run(b, func() { s.MulVec(x, y) }) })
-	b.Run("csr32", func(b *testing.B) { run(b, func() { a32.MulVec(x32, y32) }) })
-	b.Run("sell32", func(b *testing.B) { run(b, func() { s32.MulVec(x32, y32) }) })
 }
 
 // BenchmarkSpMV256x256 / 512x512: the PDN/thermal Poisson operators at

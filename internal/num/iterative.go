@@ -67,24 +67,14 @@ type IterOptions struct {
 	// grids masks non-convergence behind minutes of wasted iterations,
 	// so the budget is capped and exhaustion surfaces as ErrMaxIter.
 	MaxIter int
-	// M is the preconditioner; identity if nil. SparseSolver fills it
-	// from the Precond policy when nil.
+	// M is the preconditioner; identity if nil. SparseSolver builds
+	// one from the operator when nil (see NewSparseSolverSymmetric).
 	M Preconditioner
-	// Precond selects the preconditioner family SparseSolver builds
-	// when M is nil (PrecondAuto defers to the process default, then
-	// to the size/symmetry heuristic). Ignored by bare CG/BiCGSTAB.
-	Precond Precond
-	// Shape, when non-nil and covering the matrix, tells PrecondMG the
-	// structured grid behind the unknowns so it can build geometric
-	// multigrid; without it MG falls back to aggregation AMG.
+	// Shape, when non-nil and covering the matrix, tells SparseSolver
+	// the structured grid behind the unknowns, which a large symmetric
+	// operator needs to get geometric multigrid; without it the solver
+	// uses Jacobi. Ignored by bare CG/BiCGSTAB.
 	Shape *GridShape
-	// MG tunes the multigrid hierarchy when one is built.
-	MG MGOptions
-	// Format selects the SpMV storage layout SparseSolver attaches to
-	// the operator at build time (FormatAuto defers to the process
-	// default, then to the size heuristic). Ignored by bare
-	// CG/BiCGSTAB, which multiply whatever format the matrix carries.
-	Format SparseFormat
 }
 
 // defaultMaxIterCap bounds the derived 10*n iteration budget.

@@ -13,16 +13,12 @@ import (
 var (
 	mgSetupsGMG = obs.Default.Counter("bright_mg_setups_total",
 		"Multigrid hierarchy constructions by kind.", obs.L("kind", "gmg"))
-	mgSetupsAMG = obs.Default.Counter("bright_mg_setups_total",
-		"Multigrid hierarchy constructions by kind.", obs.L("kind", "amg"))
 	mgCycles = obs.Default.Counter("bright_mg_cycles_total",
-		"Multigrid V-cycles executed (one Apply may run several).")
+		"Multigrid V-cycles executed (one per preconditioner application).")
 	mgLevelsBuilt = obs.Default.Counter("bright_mg_levels_total",
 		"Multigrid levels constructed across all setups (levels per setup = depth of that hierarchy).")
 	mgCoarseHeavySmooths = obs.Default.Counter("bright_mg_coarse_heavy_smooths_total",
 		"Coarsest-level visits that fell back to heavy smoothing because the direct LU was unavailable (singular coarse operator).")
-	mgPrecisionFallbacks = obs.Default.Counter("bright_mg_precision_fallbacks_total",
-		"Mixed-precision multigrid applications that fell back to the float64 hierarchy (non-finite or stalled float32 cycle, or un-mirrorable operator at setup).")
 )
 
 // GridShape describes the structured grid behind a matrix whose unknowns
@@ -42,86 +38,32 @@ func (s GridShape) nz() int {
 // Cells returns the total unknown count the shape implies.
 func (s GridShape) Cells() int { return s.NX * s.NY * s.nz() }
 
+// covers reports whether the shape describes exactly a's unknowns.
+func (s GridShape) covers(a *CSR) bool {
+	return s.NX > 0 && s.NY > 0 && s.Cells() == a.Rows
+}
+
 // coarsen halves every axis (cell-centered: ceil(n/2)).
 func (s GridShape) coarsen() GridShape {
 	h := func(n int) int { return (n + 1) / 2 }
 	return GridShape{NX: h(s.NX), NY: h(s.NY), NZ: h(s.nz())}
 }
 
-// MGOptions tunes the multigrid hierarchy. The zero value gives a
-// symmetric V(1,1) cycle with damped-Jacobi smoothing — symmetric
-// pre/post smoothing and R = P^T keep the preconditioner SPD for SPD
-// operators, which CG requires.
-type MGOptions struct {
-	// PreSmooth / PostSmooth are damped-Jacobi sweeps per level per
-	// cycle (defaults 1 and 1; keep them equal for CG).
-	PreSmooth, PostSmooth int
-	// Omega is the Jacobi damping factor (default 0.8).
-	Omega float64
-	// CoarsestN stops coarsening once a level has at most this many
-	// unknowns; that level is solved directly by dense LU (default 64).
-	CoarsestN int
-	// MaxLevels bounds the hierarchy depth (default 16).
-	MaxLevels int
-	// Cycles is the number of V-cycles per Apply (default 1).
-	Cycles int
-	// Theta is the AMG strength-of-connection threshold (default 0.08).
-	Theta float64
-	// Smoother selects the per-level smoother (damped Jacobi or the
-	// Chebyshev polynomial). SmootherAuto defers to the process default
-	// (SetDefaultMGSmoother), then to Jacobi.
-	Smoother MGSmoother
-	// ChebyDegree is the Chebyshev polynomial degree per smoothing pass
-	// (default 3). One degree costs one SpMV, like one Jacobi sweep.
-	ChebyDegree int
-	// Precision selects the arithmetic of the V-cycle interior.
-	// PrecisionAuto defers to the process default (SetDefaultMGPrecision
-	// / BRIGHT_MG_PRECISION), then to float64. Float32 runs smoothing,
-	// transfers and coarse work on a float32 mirror of the hierarchy,
-	// promoting/demoting at the Apply boundary; it falls back to the
-	// float64 hierarchy (sticky, counted) when the float32 cycle goes
-	// non-finite or stops reducing the residual.
-	Precision MGPrecision
-	// Format selects the SpMV storage layout attached to each level's
-	// operator (transfers stay CSR — they are applied once per cycle
-	// and their rectangular shapes pad badly). FormatAuto defers to the
-	// process default, then to the per-level size heuristic, which
-	// naturally leaves small coarse levels in CSR.
-	Format SparseFormat
-	// FMGGuess enables the full-multigrid initial guess in
-	// SparseSolver.Solve: when the warm start is cold (all-zero x), one
-	// FMG pass seeds the outer Krylov iteration instead of starting from
-	// zero.
-	FMGGuess bool
-}
-
-func (o MGOptions) withDefaults() MGOptions {
-	if o.PreSmooth <= 0 {
-		o.PreSmooth = 1
-	}
-	if o.PostSmooth <= 0 {
-		o.PostSmooth = 1
-	}
-	if o.Omega <= 0 {
-		o.Omega = 0.8
-	}
-	if o.CoarsestN <= 0 {
-		o.CoarsestN = 64
-	}
-	if o.MaxLevels <= 0 {
-		o.MaxLevels = 16
-	}
-	if o.Cycles <= 0 {
-		o.Cycles = 1
-	}
-	if o.Theta <= 0 {
-		o.Theta = 0.08
-	}
-	if o.ChebyDegree <= 0 {
-		o.ChebyDegree = 3
-	}
-	return o
-}
+// Multigrid hierarchy parameters. Symmetric V(1,1) cycles with
+// damped-Jacobi smoothing and R = P^T keep the preconditioner SPD for
+// SPD operators, which CG requires.
+const (
+	// mgOmega is the Jacobi damping factor.
+	mgOmega = 0.8
+	// mgCoarsestN stops coarsening once a level has at most this many
+	// unknowns; that level is solved directly by dense LU.
+	mgCoarsestN = 64
+	// mgMaxLevels bounds the hierarchy depth.
+	mgMaxLevels = 16
+	// mgCoarseSweeps is the damped-Jacobi sweep count on a coarsest
+	// level whose LU is unavailable (four times a V(1,1) cycle's two).
+	mgCoarseSweeps = 8
+)
 
 // mgLevel is one rung of the hierarchy. p maps the next-coarser level's
 // correction up to this level; r (= p^T) maps this level's residual
@@ -133,88 +75,40 @@ type mgLevel struct {
 	p, r    *CSR
 	x, b    []float64
 	res     []float64
-	d       []float64 // Chebyshev direction scratch (nil under Jacobi)
-	hi, lo  float64   // Chebyshev eigenvalue window of D^{-1}A
 }
 
-// mgLevel32 is the float32 mirror of one hierarchy rung for the
-// mixed-precision cycle: demoted operator, transfers and inverse
-// diagonal, plus float32 work buffers. The eigenvalue window is shared
-// with the float64 level (estimated once, in float64, at setup).
-type mgLevel32 struct {
-	a       *CSR32
-	invDiag []float32
-	p, r    *CSR32
-	x, b    []float32
-	res     []float32
-	d       []float32
-	hi, lo  float64
-}
-
-// Multigrid is a V-cycle preconditioner over a fixed operator: geometric
-// (NewGMG, structured grids) or aggregation-based algebraic (NewAMG, any
-// CSR). Setup builds the full hierarchy — prolongations, Galerkin coarse
-// operators A_c = P^T A P, inverse diagonals and a dense LU of the
-// coarsest level — once; Apply then runs allocation-free V-cycles, so a
-// Multigrid cached per operator (thermal session, PDN grid) costs setup
-// exactly once. Apply is not safe for concurrent use; SparseSolver
-// serializes solves, which covers the intended use.
+// Multigrid is a geometric V-cycle preconditioner over a fixed operator
+// on a structured grid. Setup builds the full hierarchy —
+// prolongations, Galerkin coarse operators A_c = P^T A P, inverse
+// diagonals and a dense LU of the coarsest level — once; Apply then
+// runs allocation-free V-cycles, so a Multigrid cached per operator
+// (PDN grid, electrode potential) costs setup exactly once. Apply is
+// not safe for concurrent use; SparseSolver serializes solves, which
+// covers the intended use.
 type Multigrid struct {
 	levels []*mgLevel
 	coarse *LU
-	opt    MGOptions
-	kind   string
-
-	// Resolved policies (options -> process default -> built-in).
-	smoother  MGSmoother
-	precision MGPrecision
-
-	// Float32 mirror hierarchy (nil unless precision resolved to
-	// float32 and the operator mirrored cleanly).
-	lev32    []*mgLevel32
-	coarseB  []float64 // f64 staging for the coarse LU in the f32 cycle
-	coarseX  []float64
-	fellBack bool // sticky: float32 cycle went non-finite or stalled
-	applies  int  // Apply count, used to pace the f32 stall probe
-	stalls   int  // consecutive stalled float32 applies observed
 }
-
-// Kind reports "gmg" or "amg".
-func (m *Multigrid) Kind() string { return m.kind }
 
 // Levels reports the hierarchy depth, including the coarsest level.
 func (m *Multigrid) Levels() int { return len(m.levels) }
 
-// Smoother reports the resolved smoother policy.
-func (m *Multigrid) Smoother() MGSmoother { return m.smoother }
-
-// Precision reports the precision the cycle is currently running at:
-// the resolved policy, demoted to float64 if the float32 path fell
-// back (at setup or stickily during Apply).
-func (m *Multigrid) Precision() MGPrecision {
-	if m.lev32 == nil || m.fellBack {
-		return PrecisionFloat64
-	}
-	return PrecisionFloat32
-}
-
 // NewGMG builds a geometric multigrid hierarchy for a matrix discretized
 // on the given structured grid: cell-centered bilinear (trilinear in 3D)
 // prolongation, full-weighting restriction R = P^T, and Galerkin coarse
-// operators, re-coarsening by 2 per axis until CoarsestN.
-func NewGMG(a *CSR, shape GridShape, opt MGOptions) (*Multigrid, error) {
+// operators, re-coarsening by 2 per axis until mgCoarsestN.
+func NewGMG(a *CSR, shape GridShape) (*Multigrid, error) {
 	if a.Rows != a.Cols {
 		return nil, ErrShape
 	}
-	if shape.NX <= 0 || shape.NY <= 0 || shape.Cells() != a.Rows {
+	if !shape.covers(a) {
 		return nil, fmt.Errorf("num: grid shape %dx%dx%d does not cover %d unknowns",
 			shape.NX, shape.NY, shape.nz(), a.Rows)
 	}
-	opt = opt.withDefaults()
-	m := &Multigrid{opt: opt, kind: "gmg"}
+	m := &Multigrid{}
 	cur := a
 	curShape := shape
-	for len(m.levels) < opt.MaxLevels-1 && cur.Rows > opt.CoarsestN {
+	for len(m.levels) < mgMaxLevels-1 && cur.Rows > mgCoarsestN {
 		next := curShape.coarsen()
 		if next.Cells() >= cur.Rows {
 			break // coarsening stalled (grid already 1x1x1-ish)
@@ -229,50 +123,21 @@ func NewGMG(a *CSR, shape GridShape, opt MGOptions) (*Multigrid, error) {
 	if err := m.finish(cur); err != nil {
 		return nil, err
 	}
-	m.setupPolicies()
 	mgSetupsGMG.Inc()
 	mgLevelsBuilt.Add(uint64(len(m.levels)))
 	return m, nil
 }
 
-// NewAMG builds an aggregation-based algebraic multigrid hierarchy from
-// the matrix alone: strength-filtered greedy aggregation, Jacobi-smoothed
-// piecewise-constant prolongation and Galerkin coarse operators. It is
-// the fallback for operators without grid structure (irregular PDN
-// stamps, mixed solid/fluid thermal networks).
-func NewAMG(a *CSR, opt MGOptions) (*Multigrid, error) {
-	if a.Rows != a.Cols {
-		return nil, ErrShape
-	}
-	opt = opt.withDefaults()
-	m := &Multigrid{opt: opt, kind: "amg"}
-	cur := a
-	for len(m.levels) < opt.MaxLevels-1 && cur.Rows > opt.CoarsestN {
-		p, ok := aggregationProlongation(cur, opt.Theta, opt.Omega)
-		if !ok {
-			break // aggregation stalled; solve what we have
-		}
-		if err := m.pushLevel(cur, p); err != nil {
-			return nil, err
-		}
-		cur = MatMul(m.levels[len(m.levels)-1].r, MatMul(cur, p))
-	}
-	if err := m.finish(cur); err != nil {
-		return nil, err
-	}
-	m.setupPolicies()
-	mgSetupsAMG.Inc()
-	mgLevelsBuilt.Add(uint64(len(m.levels)))
-	return m, nil
-}
-
-// pushLevel appends a non-coarsest level with prolongation p.
+// pushLevel appends a non-coarsest level with prolongation p. Each
+// level's operator goes through the layout rule, which naturally
+// leaves small coarse levels in CSR; transfers stay CSR — they are
+// applied once per cycle and their rectangular shapes pad badly.
 func (m *Multigrid) pushLevel(a *CSR, p *CSR) error {
 	inv, err := invDiagOf(a)
 	if err != nil {
 		return err
 	}
-	a.EnsureFormat(m.opt.Format)
+	a.ensureFormat()
 	m.levels = append(m.levels, &mgLevel{
 		a: a, invDiag: inv, p: p, r: p.Transpose(),
 		x: make([]float64, a.Rows), b: make([]float64, a.Rows), res: make([]float64, a.Rows),
@@ -286,7 +151,7 @@ func (m *Multigrid) finish(a *CSR) error {
 	if err != nil {
 		return err
 	}
-	a.EnsureFormat(m.opt.Format)
+	a.ensureFormat()
 	m.levels = append(m.levels, &mgLevel{
 		a: a, invDiag: inv,
 		x: make([]float64, a.Rows), b: make([]float64, a.Rows), res: make([]float64, a.Rows),
@@ -315,154 +180,15 @@ func invDiagOf(a *CSR) ([]float64, error) {
 	return inv, nil
 }
 
-// setupPolicies resolves the smoother and precision policies (options
-// -> process default -> built-in) and builds whatever the resolved
-// policies need: Chebyshev eigenvalue windows and direction scratch,
-// and the float32 mirror hierarchy. Called once at the end of setup.
-func (m *Multigrid) setupPolicies() {
-	sm := m.opt.Smoother
-	if sm == SmootherAuto {
-		sm = DefaultMGSmoother()
-	}
-	if sm == SmootherAuto {
-		sm = SmootherJacobi
-	}
-	m.smoother = sm
-	if sm == SmootherCheby {
-		for _, lev := range m.levels {
-			rho := estimateSpectralRadius(lev.a, lev.invDiag, chebyPowerIters)
-			if rho <= 0 {
-				// Degenerate level: chebySmooth falls back to Jacobi on
-				// the zeroed window.
-				continue
-			}
-			lev.lo, lev.hi = chebyLoFrac*rho, chebyHiFrac*rho
-			lev.d = make([]float64, lev.a.Rows)
-		}
-		chebySetups.Inc()
-	}
-	pr := m.opt.Precision
-	if pr == PrecisionAuto {
-		pr = DefaultMGPrecision()
-	}
-	if pr == PrecisionAuto {
-		pr = PrecisionFloat64
-	}
-	m.precision = pr
-	if pr == PrecisionFloat32 && !m.build32() {
-		// Operator does not mirror faithfully (float32 overflow / int32
-		// index overflow): permanent setup-time fallback.
-		m.lev32 = nil
-		mgPrecisionFallbacks.Inc()
-	}
-}
-
-// build32 constructs the float32 mirror hierarchy. Returns false when
-// any operator or transfer cannot be demoted faithfully.
-func (m *Multigrid) build32() bool {
-	m.lev32 = make([]*mgLevel32, len(m.levels))
-	for l, lev := range m.levels {
-		l32 := &mgLevel32{
-			a:       NewCSR32(lev.a),
-			invDiag: make([]float32, len(lev.invDiag)),
-			x:       make([]float32, lev.a.Rows),
-			b:       make([]float32, lev.a.Rows),
-			res:     make([]float32, lev.a.Rows),
-			hi:      lev.hi,
-			lo:      lev.lo,
-		}
-		if l32.a == nil {
-			return false
-		}
-		demote(l32.invDiag, lev.invDiag)
-		if !finite32(l32.invDiag) {
-			return false
-		}
-		if lev.p != nil {
-			if l32.p, l32.r = NewCSR32(lev.p), NewCSR32(lev.r); l32.p == nil || l32.r == nil {
-				return false
-			}
-		}
-		if m.smoother == SmootherCheby && lev.d != nil {
-			l32.d = make([]float32, lev.a.Rows)
-		}
-		m.lev32[l] = l32
-	}
-	coarseN := m.levels[len(m.levels)-1].a.Rows
-	m.coarseB = make([]float64, coarseN)
-	m.coarseX = make([]float64, coarseN)
-	return true
-}
-
-// Apply runs the configured number of V-cycles on A z = r from a zero
-// initial guess. It is allocation-free: every buffer was sized at
-// setup. Under the float32 policy the cycles run on the mirror
-// hierarchy with the residual scale-normalized at the boundary (so
-// tiny late-iteration residuals never demote to a zero block); a
-// non-finite or stalled float32 cycle falls back — stickily, and
-// counted — to the float64 hierarchy, which always exists.
+// Apply runs one V-cycle on A z = r from a zero initial guess. It is
+// allocation-free: every buffer was sized at setup.
 func (m *Multigrid) Apply(r, z []float64) {
-	m.applies++
-	if m.lev32 != nil && !m.fellBack && m.apply32(r, z) {
-		return
-	}
 	f := m.levels[0]
 	copy(f.b, r)
 	Fill(f.x, 0)
-	for c := 0; c < m.opt.Cycles; c++ {
-		m.vcycle(0)
-	}
+	m.vcycle(0)
 	copy(z, f.x)
-	mgCycles.Add(uint64(m.opt.Cycles))
-}
-
-// apply32 runs the V-cycles on the float32 hierarchy. It reports false
-// (after arranging the fallback) when the cycle result is unusable.
-func (m *Multigrid) apply32(r, z []float64) bool {
-	scale := maxAbs(r)
-	if scale == 0 {
-		Fill(z, 0)
-		return true
-	}
-	f := m.lev32[0]
-	demoteScaled(f.b, r, 1/scale)
-	fill32(f.x, 0)
-	for c := 0; c < m.opt.Cycles; c++ {
-		m.vcycle32(0)
-	}
-	if !finite32(f.x) {
-		m.fellBack = true
-		mgPrecisionFallbacks.Inc()
-		return false
-	}
-	// Stall probe: an extra float32 SpMV comparing ||b - A x|| against
-	// ||b||. A healthy cycle reduces the residual well below 1; no
-	// reduction means float32 has run out of bits for this operator.
-	// Probing the first applies and then every 32nd keeps the
-	// steady-state overhead near zero while still catching a stall
-	// within a bounded number of wasted cycles.
-	if m.applies <= 2 || m.applies%32 == 0 {
-		f.a.MulVec(f.x, f.res)
-		var bn, rn float64
-		for i, bv := range f.b {
-			d := float64(bv) - float64(f.res[i])
-			rn += d * d
-			bn += float64(bv) * float64(bv)
-		}
-		if rn >= 0.95*0.95*bn {
-			m.stalls++
-			if m.stalls >= 2 {
-				m.fellBack = true
-				mgPrecisionFallbacks.Inc()
-				return false
-			}
-		} else {
-			m.stalls = 0
-		}
-	}
-	promoteScaled(z, f.x, scale)
-	mgCycles.Add(uint64(m.opt.Cycles))
-	return true
+	mgCycles.Add(1)
 }
 
 func (m *Multigrid) vcycle(l int) {
@@ -474,11 +200,11 @@ func (m *Multigrid) vcycle(l int) {
 			_ = m.coarse.SolveInto(lev.x, lev.b)
 		} else {
 			mgCoarseHeavySmooths.Inc()
-			m.smooth(lev, 4*(m.opt.PreSmooth+m.opt.PostSmooth))
+			smooth(lev, mgCoarseSweeps)
 		}
 		return
 	}
-	m.smooth(lev, m.opt.PreSmooth)
+	smooth(lev, 1)
 	lev.a.MulVec(lev.x, lev.res)
 	for i := range lev.res {
 		lev.res[i] = lev.b[i] - lev.res[i]
@@ -489,114 +215,19 @@ func (m *Multigrid) vcycle(l int) {
 	m.vcycle(l + 1)
 	lev.p.MulVec(next.x, lev.res)
 	Axpy(1, lev.res, lev.x)
-	m.smooth(lev, m.opt.PostSmooth)
+	smooth(lev, 1)
 }
 
-// vcycle32 is vcycle on the float32 mirror. The coarsest level promotes
-// through the float64 LU (the coarse system is tiny — at most CoarsestN
-// unknowns — so the promote/demote staging is noise, and reusing the
-// existing factorization keeps the float32 hierarchy LU-free).
-func (m *Multigrid) vcycle32(l int) {
-	lev := m.lev32[l]
-	if l == len(m.lev32)-1 {
-		if m.coarse != nil {
-			promote(m.coarseB, lev.b)
-			//lint:ignore errignore SolveInto only errors on shape mismatch, pinned at setup
-			_ = m.coarse.SolveInto(m.coarseX, m.coarseB)
-			demote(lev.x, m.coarseX)
-		} else {
-			mgCoarseHeavySmooths.Inc()
-			m.smooth32(lev, 4*(m.opt.PreSmooth+m.opt.PostSmooth))
-		}
-		return
-	}
-	m.smooth32(lev, m.opt.PreSmooth)
-	lev.a.MulVec(lev.x, lev.res)
-	for i := range lev.res {
-		lev.res[i] = lev.b[i] - lev.res[i]
-	}
-	next := m.lev32[l+1]
-	lev.r.MulVec(lev.res, next.b)
-	fill32(next.x, 0)
-	m.vcycle32(l + 1)
-	lev.p.MulVec(next.x, lev.res)
-	for i, v := range lev.res {
-		lev.x[i] += v
-	}
-	m.smooth32(lev, m.opt.PostSmooth)
-}
-
-// smooth dispatches one smoothing pass on a float64 level. Under
-// Chebyshev, sweeps scales the polynomial degree so heavier requests
-// (the coarse escape hatch) still mean more work.
-func (m *Multigrid) smooth(lev *mgLevel, sweeps int) {
-	if m.smoother == SmootherCheby && lev.d != nil {
-		m.chebySmooth(lev, sweeps*m.opt.ChebyDegree)
-		return
-	}
-	m.jacobiSmooth(lev, sweeps)
-}
-
-func (m *Multigrid) smooth32(lev *mgLevel32, sweeps int) {
-	if m.smoother == SmootherCheby && lev.d != nil {
-		m.chebySmooth32(lev, sweeps*m.opt.ChebyDegree)
-		return
-	}
-	m.jacobiSmooth32(lev, sweeps)
-}
-
-// jacobiSmooth runs damped-Jacobi sweeps x += omega * D^{-1} (b - A x).
-// The SpMV rides the kernel pool; the pointwise update is cheap enough
+// smooth runs damped-Jacobi sweeps x += omega * D^{-1} (b - A x). The
+// SpMV rides the kernel pool; the pointwise update is cheap enough
 // serial.
-func (m *Multigrid) jacobiSmooth(lev *mgLevel, sweeps int) {
-	for s := 0; s < sweeps; s++ {
-		lev.a.MulVec(lev.x, lev.res)
-		om := m.opt.Omega
-		for i, d := range lev.invDiag {
-			lev.x[i] += om * d * (lev.b[i] - lev.res[i])
-		}
-	}
-}
-
-func (m *Multigrid) jacobiSmooth32(lev *mgLevel32, sweeps int) {
-	om := float32(m.opt.Omega)
+func smooth(lev *mgLevel, sweeps int) {
 	for s := 0; s < sweeps; s++ {
 		lev.a.MulVec(lev.x, lev.res)
 		for i, d := range lev.invDiag {
-			lev.x[i] += om * d * (lev.b[i] - lev.res[i])
+			lev.x[i] += mgOmega * d * (lev.b[i] - lev.res[i])
 		}
 	}
-}
-
-// FMG runs one full-multigrid pass on A x = b: the right-hand side is
-// restricted down the hierarchy, the coarsest system is solved
-// directly, and the solution is interpolated back up with one V-cycle
-// per level. The result lands in x — it is an O(n) initial guess whose
-// error is already smooth on every scale, which typically saves the
-// outer Krylov loop several iterations versus starting from zero.
-// Always runs on the float64 hierarchy (it executes once per solve, so
-// bandwidth is not the bottleneck).
-func (m *Multigrid) FMG(b, x []float64) {
-	last := len(m.levels) - 1
-	copy(m.levels[0].b, b)
-	for l := 0; l < last; l++ {
-		m.levels[l].r.MulVec(m.levels[l].b, m.levels[l+1].b)
-	}
-	lev := m.levels[last]
-	if m.coarse != nil {
-		//lint:ignore errignore SolveInto only errors on shape mismatch, pinned at setup
-		_ = m.coarse.SolveInto(lev.x, lev.b)
-	} else {
-		mgCoarseHeavySmooths.Inc()
-		Fill(lev.x, 0)
-		m.smooth(lev, 4*(m.opt.PreSmooth+m.opt.PostSmooth))
-	}
-	for l := last - 1; l >= 0; l-- {
-		m.levels[l].p.MulVec(m.levels[l+1].x, m.levels[l].x)
-		m.vcycle(l)
-	}
-	copy(x, m.levels[0].x)
-	mgCycles.Add(uint64(last))
 }
 
 // interpolation builds the cell-centered bilinear/trilinear prolongation
@@ -657,112 +288,4 @@ func axisWeights(n, nc int) [][]axisEntry {
 		}
 	}
 	return out
-}
-
-// aggregationProlongation builds the smoothed-aggregation prolongation
-// for one AMG coarsening step. Returns ok=false when aggregation cannot
-// shrink the problem (no strong connections left).
-func aggregationProlongation(a *CSR, theta, omega float64) (*CSR, bool) {
-	agg, nAgg := aggregate(a, theta)
-	if nAgg <= 0 || nAgg >= a.Rows {
-		return nil, false
-	}
-	// Tentative piecewise-constant prolongation.
-	co := NewCOO(a.Rows, nAgg)
-	for i, g := range agg {
-		co.Add(i, g, 1)
-	}
-	pt := co.ToCSR()
-	// One damped-Jacobi smoothing pass: P = (I - omega D^{-1} A) P_t.
-	// Smoothing spreads each aggregate's footprint over its neighbours,
-	// which restores near-optimal convergence on diffusion operators.
-	d := a.Diag()
-	jac := &CSR{
-		Rows:   a.Rows,
-		Cols:   a.Cols,
-		RowPtr: a.RowPtr,
-		ColIdx: a.ColIdx,
-		Val:    make([]float64, a.NNZ()),
-	}
-	for i := 0; i < a.Rows; i++ {
-		di := d[i]
-		if di == 0 {
-			di = 1
-		}
-		s := omega / di
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			jac.Val[k] = -s * a.Val[k]
-			if a.ColIdx[k] == i {
-				jac.Val[k] += 1
-			}
-		}
-	}
-	return MatMul(jac, pt), true
-}
-
-// aggregate greedily groups nodes over strong connections
-// (|a_ij| >= theta * sqrt(|a_ii a_jj|)): a first pass seeds aggregates
-// from still-free nodes and their free strong neighbours, a second pass
-// attaches leftovers to their strongest aggregated neighbour (or makes
-// them singletons). Returns the aggregate id per node and the count.
-func aggregate(a *CSR, theta float64) ([]int, int) {
-	n := a.Rows
-	d := a.Diag()
-	agg := make([]int, n)
-	for i := range agg {
-		agg[i] = -1
-	}
-	strong := func(i, k int) bool {
-		j := a.ColIdx[k]
-		if j == i {
-			return false
-		}
-		v := math.Abs(a.Val[k])
-		return v*v >= theta*theta*math.Abs(d[i]*d[j])
-	}
-	nAgg := 0
-	for i := 0; i < n; i++ {
-		if agg[i] != -1 {
-			continue
-		}
-		free := true
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if strong(i, k) && agg[a.ColIdx[k]] != -1 {
-				free = false
-				break
-			}
-		}
-		if !free {
-			continue
-		}
-		agg[i] = nAgg
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			if strong(i, k) {
-				agg[a.ColIdx[k]] = nAgg
-			}
-		}
-		nAgg++
-	}
-	for i := 0; i < n; i++ {
-		if agg[i] != -1 {
-			continue
-		}
-		best, bestV := -1, 0.0
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			j := a.ColIdx[k]
-			if j == i || agg[j] == -1 {
-				continue
-			}
-			if v := math.Abs(a.Val[k]); v > bestV {
-				best, bestV = agg[j], v
-			}
-		}
-		if best >= 0 {
-			agg[i] = best
-		} else {
-			agg[i] = nAgg
-			nAgg++
-		}
-	}
-	return agg, nAgg
 }

@@ -106,12 +106,12 @@ func TestCSRMatMul(t *testing.T) {
 func TestGMGBeatsJacobi(t *testing.T) {
 	const n = 128
 	a := laplacian2D(n)
-	mg, err := NewGMG(a, GridShape{NX: n, NY: n}, MGOptions{})
+	mg, err := NewGMG(a, GridShape{NX: n, NY: n})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mg.Kind() != "gmg" || mg.Levels() < 3 {
-		t.Fatalf("kind=%q levels=%d, want gmg with >=3 levels", mg.Kind(), mg.Levels())
+	if mg.Levels() < 3 {
+		t.Fatalf("levels=%d, want >=3", mg.Levels())
 	}
 	rng := rand.New(rand.NewSource(5))
 	b := make([]float64, a.Rows)
@@ -143,7 +143,7 @@ func TestGMGBeatsJacobi(t *testing.T) {
 
 func TestGMG3D(t *testing.T) {
 	a := laplacian3D(24, 20, 8)
-	mg, err := NewGMG(a, GridShape{NX: 24, NY: 20, NZ: 8}, MGOptions{})
+	mg, err := NewGMG(a, GridShape{NX: 24, NY: 20, NZ: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,41 +173,8 @@ func TestGMG3D(t *testing.T) {
 // rejected at setup, not fail mysteriously later.
 func TestGMGShapeMismatch(t *testing.T) {
 	a := laplacian2D(16)
-	if _, err := NewGMG(a, GridShape{NX: 16, NY: 17}, MGOptions{}); err == nil {
+	if _, err := NewGMG(a, GridShape{NX: 16, NY: 17}); err == nil {
 		t.Fatal("mismatched shape accepted")
-	}
-}
-
-func TestAMGConvergence(t *testing.T) {
-	const n = 64
-	a := laplacian2D(n)
-	mg, err := NewAMG(a, MGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mg.Kind() != "amg" || mg.Levels() < 2 {
-		t.Fatalf("kind=%q levels=%d, want amg with >=2 levels", mg.Kind(), mg.Levels())
-	}
-	rng := rand.New(rand.NewSource(7))
-	b := make([]float64, a.Rows)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x := make([]float64, a.Rows)
-	res, err := CG(a, b, x, IterOptions{Tol: 1e-9, M: mg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rn := residualNorm(a, b, x); rn > 1e-8 {
-		t.Fatalf("residual %g after %d iters", rn, res.Iterations)
-	}
-	Fill(x, 0)
-	jac, err := CG(a, b, x, IterOptions{Tol: 1e-9, M: NewJacobi(a)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if 2*res.Iterations > jac.Iterations {
-		t.Fatalf("AMG-CG took %d iterations vs Jacobi %d, want >=2x fewer", res.Iterations, jac.Iterations)
 	}
 }
 
@@ -217,11 +184,7 @@ func TestMGApplyZeroAlloc(t *testing.T) {
 	SetKernelThreads(1)
 	t.Cleanup(func() { SetKernelThreads(0) })
 	a := laplacian2D(32)
-	gmg, err := NewGMG(a, GridShape{NX: 32, NY: 32}, MGOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	amg, err := NewAMG(a, MGOptions{})
+	mg, err := NewGMG(a, GridShape{NX: 32, NY: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,73 +193,57 @@ func TestMGApplyZeroAlloc(t *testing.T) {
 	for i := range r {
 		r[i] = float64(i%13) - 6
 	}
-	for _, tc := range []struct {
-		name string
-		mg   *Multigrid
-	}{{"gmg", gmg}, {"amg", amg}} {
-		tc.mg.Apply(r, z) // warm any lazy paths before counting
-		allocs := testing.AllocsPerRun(20, func() { tc.mg.Apply(r, z) })
-		if allocs != 0 {
-			t.Fatalf("%s Apply allocates %.1f per cycle, want 0", tc.name, allocs)
-		}
+	mg.Apply(r, z) // warm any lazy paths before counting
+	if allocs := testing.AllocsPerRun(20, func() { mg.Apply(r, z) }); allocs != 0 {
+		t.Fatalf("Apply allocates %.1f per cycle, want 0", allocs)
 	}
 }
 
-func TestParsePrecond(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Precond
-	}{{"auto", PrecondAuto}, {"", PrecondAuto}, {"Jacobi", PrecondJacobi}, {"mg", PrecondMG}, {"MULTIGRID", PrecondMG}} {
-		got, err := ParsePrecond(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParsePrecond(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParsePrecond("ilu"); err == nil {
-		t.Fatal("ParsePrecond accepted unknown name")
-	}
-}
-
-// TestPrecondPolicy pins the auto-selection chain: options override
-// process default, process default overrides the heuristic, and the
-// heuristic picks MG only for large symmetric systems.
+// TestPrecondPolicy pins the preconditioner rule as a table over what
+// the operator shows: multigrid only for a symmetric operator of at
+// least MGAutoThreshold rows whose grid the shape covers, Jacobi for
+// every other combination.
 func TestPrecondPolicy(t *testing.T) {
-	t.Cleanup(func() { SetDefaultPrecond(PrecondAuto) })
 	small := laplacian2D(16) // 256 unknowns < MGAutoThreshold
 	large := laplacian2D(64) // 4096 unknowns >= MGAutoThreshold
-	isMG := func(p Preconditioner) bool { _, ok := p.(*Multigrid); return ok }
-
-	SetDefaultPrecond(PrecondAuto)
-	if s := NewSparseSolverSymmetric(small, true, IterOptions{}); isMG(s.Precond()) {
-		t.Fatal("auto picked MG below the size threshold")
+	smallShape := &GridShape{NX: 16, NY: 16}
+	largeShape := &GridShape{NX: 64, NY: 64}
+	wrongShape := &GridShape{NX: 64, NY: 32}
+	for _, tc := range []struct {
+		name      string
+		a         *CSR
+		symmetric bool
+		shape     *GridShape
+		wantMG    bool
+	}{
+		{"large/sym/shape", large, true, largeShape, true},
+		{"large/sym/no-shape", large, true, nil, false},
+		{"large/sym/mismatched-shape", large, true, wrongShape, false},
+		{"large/nonsym/shape", large, false, largeShape, false},
+		{"small/sym/shape", small, true, smallShape, false},
+		{"small/sym/no-shape", small, true, nil, false},
+		{"small/nonsym/no-shape", small, false, nil, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pre := NewSparseSolverSymmetric(tc.a, tc.symmetric, IterOptions{Shape: tc.shape}).Precond()
+			switch pre.(type) {
+			case *Multigrid:
+				if !tc.wantMG {
+					t.Fatal("resolved to multigrid, want Jacobi")
+				}
+			case *JacobiPreconditioner:
+				if tc.wantMG {
+					t.Fatal("resolved to Jacobi, want multigrid")
+				}
+			default:
+				t.Fatalf("resolved to %T", pre)
+			}
+		})
 	}
-	if s := NewSparseSolverSymmetric(large, true, IterOptions{}); !isMG(s.Precond()) {
-		t.Fatal("auto did not pick MG at the size threshold")
-	}
-	if s := NewSparseSolverSymmetric(large, false, IterOptions{}); isMG(s.Precond()) {
-		t.Fatal("auto picked MG for a nonsymmetric system")
-	}
-
-	// Forced MG builds GMG when a matching shape rides along, AMG
-	// otherwise — even below the auto threshold.
-	sh := &GridShape{NX: 16, NY: 16}
-	if s := NewSparseSolverSymmetric(small, true, IterOptions{Precond: PrecondMG, Shape: sh}); !isMG(s.Precond()) {
-		t.Fatal("forced MG ignored")
-	} else if s.Precond().(*Multigrid).Kind() != "gmg" {
-		t.Fatal("forced MG with shape did not build GMG")
-	}
-	if s := NewSparseSolverSymmetric(small, true, IterOptions{Precond: PrecondMG}); s.Precond().(*Multigrid).Kind() != "amg" {
-		t.Fatal("forced MG without shape did not build AMG")
-	}
-
-	// Process-wide default applies when options stay auto, and the
-	// options-level choice still wins over it.
-	SetDefaultPrecond(PrecondJacobi)
-	if s := NewSparseSolverSymmetric(large, true, IterOptions{}); isMG(s.Precond()) {
-		t.Fatal("process-wide jacobi default ignored")
-	}
-	if s := NewSparseSolverSymmetric(large, true, IterOptions{Precond: PrecondMG}); !isMG(s.Precond()) {
-		t.Fatal("per-options MG lost to the process default")
+	// An explicit preconditioner bypasses the rule.
+	id := IdentityPreconditioner{}
+	if s := NewSparseSolverSymmetric(large, true, IterOptions{M: id, Shape: largeShape}); s.Precond() != id {
+		t.Fatalf("explicit M replaced by %T", s.Precond())
 	}
 }
 
@@ -318,7 +265,7 @@ func TestMaxIterOutcome(t *testing.T) {
 
 	m0, f0, fail0 := maxIterExhausted.Value(), cgFallbacks.Value(), solveFailures.Value()
 	Fill(x, 0)
-	s := NewSparseSolverSymmetric(a, true, IterOptions{Tol: 1e-14, MaxIter: 2, Precond: PrecondJacobi})
+	s := NewSparseSolverSymmetric(a, true, IterOptions{Tol: 1e-14, MaxIter: 2, M: NewJacobi(a)})
 	if _, err := s.Solve(b, x); !errors.Is(err, ErrMaxIter) {
 		t.Fatalf("SparseSolver returned %v, want ErrMaxIter", err)
 	}
@@ -354,7 +301,7 @@ func TestMaxIterDefaultCap(t *testing.T) {
 func TestMGTelemetry(t *testing.T) {
 	s0, c0, l0 := mgSetupsGMG.Value(), mgCycles.Value(), mgLevelsBuilt.Value()
 	a := laplacian2D(32)
-	mg, err := NewGMG(a, GridShape{NX: 32, NY: 32}, MGOptions{})
+	mg, err := NewGMG(a, GridShape{NX: 32, NY: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

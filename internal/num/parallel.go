@@ -85,27 +85,22 @@ const (
 	opDot
 	opNorm2
 	opAxpy
-	opMulVec32
 	opMulVecBlock
 	opMulVecSell
-	opMulVecSell32
 )
 
 // parRun describes one forked kernel call. Instances are pooled; the
 // part slice doubles as the partial-reduction scratch and is retained
 // across uses, so steady-state kernel calls do not allocate.
 type parRun struct {
-	op       kernelOp
-	a        *CSR
-	x, y     []float64
-	a32      *CSR32
-	x32, y32 []float32
-	sell     *SELLCS
-	sell32   *SELLCS32
-	blockK   int
-	alpha    float64
-	part     []float64
-	wg       sync.WaitGroup
+	op     kernelOp
+	a      *CSR
+	x, y   []float64
+	sell   *SELLCS
+	blockK int
+	alpha  float64
+	part   []float64
+	wg     sync.WaitGroup
 }
 
 // kernelSpan is one chunk of a run, sent by value over the work channel.
@@ -161,15 +156,11 @@ func (r *parRun) exec(lo, hi, idx int) {
 		r.part[2*idx], r.part[2*idx+1] = m, s
 	case opAxpy:
 		axpyRange(r.alpha, r.x, r.y, lo, hi)
-	case opMulVec32:
-		mulVec32Range(r.a32, r.x32, r.y32, lo, hi)
 	case opMulVecBlock:
 		mulVecBlockRange(r.a, r.x, r.y, r.blockK, lo, hi)
 	case opMulVecSell:
 		// SELL forks over slice indices, not rows.
 		sellMulVecRange(r.sell, r.x, r.y, lo, hi)
-	case opMulVecSell32:
-		sellMulVec32Range(r.sell32, r.x32, r.y32, lo, hi)
 	}
 }
 
@@ -189,8 +180,7 @@ func getRun(op kernelOp) *parRun {
 // matrices or vectors) and returns the descriptor to the pool.
 func putRun(r *parRun) {
 	r.a, r.x, r.y = nil, nil, nil
-	r.a32, r.x32, r.y32 = nil, nil, nil
-	r.sell, r.sell32 = nil, nil
+	r.sell = nil
 	runPool.Put(r)
 }
 
@@ -252,16 +242,6 @@ func norm2Range(x []float64, lo, hi int) (maxv, sumsq float64) {
 func axpyRange(alpha float64, x, y []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		y[i] += alpha * x[i]
-	}
-}
-
-func mulVec32Range(m *CSR32, x, y []float32, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s := float32(0)
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			s += m.Val[k] * x[m.ColIdx[k]]
-		}
-		y[i] = s
 	}
 }
 

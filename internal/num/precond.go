@@ -1,189 +1,23 @@
 package num
 
-import (
-	"fmt"
-	"strings"
-	"sync/atomic"
+import "bright/internal/obs"
 
-	"bright/internal/obs"
-)
-
-// Precond selects the preconditioner family a SparseSolver builds when
-// IterOptions.M is nil.
-type Precond int32
-
-const (
-	// PrecondAuto defers to the process-wide default (SetDefaultPrecond),
-	// then to the heuristic: multigrid for large symmetric systems,
-	// Jacobi otherwise.
-	PrecondAuto Precond = iota
-	// PrecondJacobi forces diagonal scaling.
-	PrecondJacobi
-	// PrecondMG forces multigrid: geometric when IterOptions.Shape
-	// describes the grid, aggregation-based AMG otherwise.
-	PrecondMG
-)
-
-func (p Precond) String() string {
-	switch p {
-	case PrecondJacobi:
-		return "jacobi"
-	case PrecondMG:
-		return "mg"
-	default:
-		return "auto"
-	}
-}
-
-// ParsePrecond parses "auto", "jacobi" or "mg" (case-insensitive); it
-// backs the brightd -solver-precond flag and BRIGHT_SOLVER_PRECOND env.
-func ParsePrecond(s string) (Precond, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return PrecondAuto, nil
-	case "jacobi":
-		return PrecondJacobi, nil
-	case "mg", "multigrid":
-		return PrecondMG, nil
-	}
-	return PrecondAuto, fmt.Errorf("num: unknown preconditioner %q (want auto, jacobi or mg)", s)
-}
-
-var processPrecond atomic.Int32
-
-// SetDefaultPrecond sets the process-wide policy consulted when an
-// IterOptions leaves Precond at PrecondAuto.
-func SetDefaultPrecond(p Precond) { processPrecond.Store(int32(p)) }
-
-// DefaultPrecond returns the process-wide policy.
-func DefaultPrecond() Precond { return Precond(processPrecond.Load()) }
-
-// MGSmoother selects the multigrid per-level smoother.
-type MGSmoother int32
-
-const (
-	// SmootherAuto defers to the process default (SetDefaultMGSmoother),
-	// then to damped Jacobi.
-	SmootherAuto MGSmoother = iota
-	// SmootherJacobi is the damped-Jacobi smoother.
-	SmootherJacobi
-	// SmootherCheby is the degree-k Chebyshev polynomial smoother with
-	// eigenvalue bounds estimated by power iteration at setup.
-	SmootherCheby
-)
-
-func (s MGSmoother) String() string {
-	switch s {
-	case SmootherJacobi:
-		return "jacobi"
-	case SmootherCheby:
-		return "cheby"
-	default:
-		return "auto"
-	}
-}
-
-// ParseMGSmoother parses "auto", "jacobi" or "cheby"/"chebyshev"
-// (case-insensitive); it backs the brightd -mg-smoother flag and the
-// BRIGHT_MG_SMOOTHER env var.
-func ParseMGSmoother(s string) (MGSmoother, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return SmootherAuto, nil
-	case "jacobi":
-		return SmootherJacobi, nil
-	case "cheby", "chebyshev":
-		return SmootherCheby, nil
-	}
-	return SmootherAuto, fmt.Errorf("num: unknown mg smoother %q (want auto, jacobi or cheby)", s)
-}
-
-// MGPrecision selects the arithmetic of the multigrid cycle interior.
-type MGPrecision int32
-
-const (
-	// PrecisionAuto defers to the process default (SetDefaultMGPrecision
-	// / BRIGHT_MG_PRECISION), then to float64.
-	PrecisionAuto MGPrecision = iota
-	// PrecisionFloat64 runs the whole cycle in float64.
-	PrecisionFloat64
-	// PrecisionFloat32 runs smoothing, transfers and coarse-grid work on
-	// a float32 mirror of the hierarchy, falling back to float64 when
-	// the float32 cycle goes non-finite or stalls.
-	PrecisionFloat32
-)
-
-func (p MGPrecision) String() string {
-	switch p {
-	case PrecisionFloat64:
-		return "float64"
-	case PrecisionFloat32:
-		return "float32"
-	default:
-		return "auto"
-	}
-}
-
-// ParseMGPrecision parses "auto", "float64"/"f64" or "float32"/"f32"
-// (case-insensitive); it backs the brightd -mg-precision flag and the
-// BRIGHT_MG_PRECISION env var.
-func ParseMGPrecision(s string) (MGPrecision, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return PrecisionAuto, nil
-	case "float64", "f64", "double":
-		return PrecisionFloat64, nil
-	case "float32", "f32", "single":
-		return PrecisionFloat32, nil
-	}
-	return PrecisionAuto, fmt.Errorf("num: unknown mg precision %q (want auto, float64 or float32)", s)
-}
-
-var (
-	processMGSmoother  atomic.Int32
-	processMGPrecision atomic.Int32
-)
-
-// SetDefaultMGSmoother sets the process-wide smoother consulted when
-// MGOptions leaves Smoother at SmootherAuto.
-func SetDefaultMGSmoother(s MGSmoother) { processMGSmoother.Store(int32(s)) }
-
-// DefaultMGSmoother returns the process-wide smoother policy.
-func DefaultMGSmoother() MGSmoother { return MGSmoother(processMGSmoother.Load()) }
-
-// SetDefaultMGPrecision sets the process-wide cycle precision consulted
-// when MGOptions leaves Precision at PrecisionAuto.
-func SetDefaultMGPrecision(p MGPrecision) { processMGPrecision.Store(int32(p)) }
-
-// DefaultMGPrecision returns the process-wide precision policy.
-func DefaultMGPrecision() MGPrecision { return MGPrecision(processMGPrecision.Load()) }
-
-// MGAutoThreshold is the unknown count at and above which PrecondAuto
-// upgrades symmetric systems from Jacobi to multigrid. Below it, Jacobi
-// solves finish before MG setup would pay for itself.
+// MGAutoThreshold is the unknown count at and above which a symmetric
+// system with a covering grid shape gets multigrid instead of Jacobi.
+// Below it, Jacobi solves finish before MG setup would pay for itself.
 const MGAutoThreshold = 4096
 
 var mgSetupFallbacks = obs.Default.Counter("bright_mg_setup_fallbacks_total",
 	"Multigrid setups that failed and fell back to Jacobi.")
 
-// buildPrecond resolves the policy chain (options -> process default ->
-// heuristic) into a concrete preconditioner for a. Multigrid setup
+// buildPrecond picks the preconditioner from what the operator shows:
+// geometric multigrid when a is symmetric, has at least MGAutoThreshold
+// rows and shape describes its grid; Jacobi otherwise. Multigrid setup
 // failure degrades to Jacobi rather than failing the solver build: the
 // result is always usable, just possibly slower.
-func buildPrecond(a *CSR, symmetric bool, opt IterOptions) Preconditioner {
-	p := opt.Precond
-	if p == PrecondAuto {
-		p = DefaultPrecond()
-	}
-	if p == PrecondAuto {
-		if symmetric && a.Rows >= MGAutoThreshold {
-			p = PrecondMG
-		} else {
-			p = PrecondJacobi
-		}
-	}
-	if p == PrecondMG {
-		if m, err := newMGFor(a, opt); err == nil {
+func buildPrecond(a *CSR, symmetric bool, shape *GridShape) Preconditioner {
+	if symmetric && a.Rows >= MGAutoThreshold && shape != nil && shape.covers(a) {
+		if m, err := NewGMG(a, *shape); err == nil {
 			return m
 		}
 		mgSetupFallbacks.Inc()
@@ -191,81 +25,13 @@ func buildPrecond(a *CSR, symmetric bool, opt IterOptions) Preconditioner {
 	return NewJacobi(a)
 }
 
-// newMGFor builds geometric multigrid when the options carry a matching
-// grid shape, aggregation AMG otherwise. The solver-level sparse format
-// choice flows into the hierarchy so every level's operator goes through
-// the same format policy.
-func newMGFor(a *CSR, opt IterOptions) (*Multigrid, error) {
-	mgo := opt.MG
-	if mgo.Format == FormatAuto {
-		mgo.Format = opt.Format
-	}
-	if opt.Shape != nil && opt.Shape.NX > 0 && opt.Shape.NY > 0 && opt.Shape.Cells() == a.Rows {
-		return NewGMG(a, *opt.Shape, mgo)
-	}
-	return NewAMG(a, mgo)
-}
-
-// SparseFormat selects the SpMV storage layout a solver setup attaches
-// to its operators.
-type SparseFormat int32
-
-const (
-	// FormatAuto defers to the process-wide default
-	// (SetDefaultSparseFormat / BRIGHT_SPARSE_FORMAT), then to the
-	// heuristic: SELL-C-σ for operators large enough that SpMV is
-	// memory-bound, plain CSR otherwise.
-	FormatAuto SparseFormat = iota
-	// FormatCSR forces the row-gather CSR kernels.
-	FormatCSR
-	// FormatSELL requests the SELL-C-σ sliced layout; conversion still
-	// falls back to CSR when the padding overhead exceeds
-	// sellMaxPadding (counted in bright_sparse_sell_fallbacks_total).
-	FormatSELL
-)
-
-func (f SparseFormat) String() string {
-	switch f {
-	case FormatCSR:
-		return "csr"
-	case FormatSELL:
-		return "sell"
-	default:
-		return "auto"
-	}
-}
-
-// ParseSparseFormat parses "auto", "csr" or "sell"/"sellcs"
-// (case-insensitive); it backs the brightd -sparse-format flag and the
-// BRIGHT_SPARSE_FORMAT env var.
-func ParseSparseFormat(s string) (SparseFormat, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "auto":
-		return FormatAuto, nil
-	case "csr":
-		return FormatCSR, nil
-	case "sell", "sellcs", "sell-c-sigma":
-		return FormatSELL, nil
-	}
-	return FormatAuto, fmt.Errorf("num: unknown sparse format %q (want auto, csr or sell)", s)
-}
-
-var processSparseFormat atomic.Int32
-
-// SetDefaultSparseFormat sets the process-wide layout consulted when an
-// IterOptions leaves Format at FormatAuto.
-func SetDefaultSparseFormat(f SparseFormat) { processSparseFormat.Store(int32(f)) }
-
-// DefaultSparseFormat returns the process-wide layout policy.
-func DefaultSparseFormat() SparseFormat { return SparseFormat(processSparseFormat.Load()) }
-
-// Format-heuristic thresholds. Variables so tests can exercise both
-// sides without building huge operators.
+// Layout-rule thresholds. Variables so tests can exercise both sides
+// without building huge operators.
 var (
-	// sellMinRows is the row count at and above which FormatAuto picks
-	// SELL-C-σ: below it the operator fits cache and the CSR gather is
-	// already fast, while the conversion would still cost a pass over
-	// the matrix at every solver setup.
+	// sellMinRows is the row count at and above which an operator is
+	// converted to SELL-C-σ: below it the operator fits cache and the
+	// CSR gather is already fast, while the conversion would still cost
+	// a pass over the matrix at every solver setup.
 	sellMinRows = 4096
 	// sellMaxPadding is the PaddingRatio above which a SELL conversion
 	// is discarded and the operator stays CSR: past it the padded
@@ -277,34 +43,26 @@ var (
 	sellConversions = obs.Default.Counter("bright_sparse_conversions_total",
 		"Operators converted to the SELL-C-σ layout at solver setup.",
 		obs.L("format", "sell"))
-	sell32Conversions = obs.Default.Counter("bright_sparse_conversions_total",
-		"Operators converted to the SELL-C-σ layout at solver setup.",
-		obs.L("format", "sell32"))
 	sellFallbacks = obs.Default.Counter("bright_sparse_sell_fallbacks_total",
 		"SELL-C-σ conversions discarded for excess padding (operator stayed CSR).")
 )
 
-// EnsureFormat resolves the format policy chain (explicit option ->
-// process default -> size heuristic) and, when it lands on SELL-C-σ,
-// attaches the sliced mirror to the matrix. It is idempotent, cheap
-// when the resolution is CSR, and safe to call concurrently with
-// MulVec. Conversion happens here — at solver/hierarchy setup — never
-// on the multiply path, so the zero-alloc steady-state contract holds.
-func (m *CSR) EnsureFormat(f SparseFormat) {
+// ensureFormat applies the layout rule: operators with at least
+// sellMinRows rows get the SELL-C-σ mirror (see attachSELL), smaller
+// ones stay CSR. Conversion happens here — at solver/hierarchy setup —
+// never on the multiply path, so the zero-alloc steady-state contract
+// holds.
+func (m *CSR) ensureFormat() {
+	if m.Rows >= sellMinRows {
+		m.attachSELL()
+	}
+}
+
+// attachSELL converts m to SELL-C-σ and attaches the mirror, unless the
+// padding overhead exceeds sellMaxPadding, in which case m stays CSR.
+// It is idempotent and safe to call concurrently with MulVec.
+func (m *CSR) attachSELL() {
 	if m.sell.Load() != nil {
-		return
-	}
-	if f == FormatAuto {
-		f = DefaultSparseFormat()
-	}
-	if f == FormatAuto {
-		if m.Rows >= sellMinRows {
-			f = FormatSELL
-		} else {
-			f = FormatCSR
-		}
-	}
-	if f != FormatSELL {
 		return
 	}
 	s := NewSELLCS(m)

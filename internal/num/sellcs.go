@@ -32,8 +32,8 @@ import "math"
 //     descriptors. All allocation happens in the constructors, which
 //     run once at solver/hierarchy setup (escape-check pins this).
 //
-// A SELLCS is a snapshot of its source CSR, like CSR32: later mutation
-// of the source is not observed.
+// A SELLCS is a snapshot of its source CSR: later mutation of the
+// source is not observed.
 
 const (
 	// SellC is the slice height: the number of rows that share one
@@ -53,8 +53,8 @@ const (
 	sellSigma = 8 * SellC
 )
 
-// SELLCS is a SELL-C-σ matrix: the float64 mirror attached to a CSR by
-// EnsureFormat and consulted by CSR.MulVec.
+// SELLCS is a SELL-C-σ matrix: the mirror attached to a CSR at solver
+// setup (see ensureFormat) and consulted by CSR.MulVec.
 type SELLCS struct {
 	Rows, Cols int
 	// Perm maps sorted position -> original row index.
@@ -75,9 +75,9 @@ type SELLCS struct {
 }
 
 // NewSELLCS converts a CSR into SELL-C-σ form. It returns nil when the
-// dimensions exceed int32 indexing (the same bound CSR32 has). The
-// conversion is unconditional — padding-overhead policy lives in
-// EnsureFormat, which decides whether to attach the result.
+// dimensions exceed int32 indexing. The conversion is unconditional —
+// the padding-overhead rule lives in attachSELL, which decides whether
+// to attach the result.
 func NewSELLCS(a *CSR) *SELLCS {
 	if a.Cols > math.MaxInt32 || a.Rows > math.MaxInt32 {
 		return nil
@@ -160,7 +160,7 @@ func (m *SELLCS) NNZ() int { return m.nnz }
 
 // PaddingRatio reports padded storage over stored entries (>= 1; 1 is
 // padding-free). It is the operational row-length-variance measure the
-// format policy gates on: after the σ-window sort, only residual
+// layout rule gates on: after the σ-window sort, only residual
 // length spread inside a slice costs padding.
 func (m *SELLCS) PaddingRatio() float64 {
 	if m.nnz == 0 {
@@ -265,138 +265,6 @@ func sellMulVecRange(m *SELLCS, x, y []float64, sLo, sHi int) {
 // sellRowTail accumulates one row's entries for column steps [t0, t1)
 // onto s, striding through the column-major slice.
 func sellRowTail(vals []float64, cols []int32, x []float64, s float64, base, stride, t0, t1 int) float64 {
-	k := base + t0*stride
-	for t := t0; t < t1; t++ {
-		s += vals[k] * x[cols[k]]
-		k += stride
-	}
-	return s
-}
-
-// SELLCS32 is the float32 mirror of a SELLCS for the mixed-precision
-// cycle: values demoted to float32, layout (permutation, slice
-// pointers, column indices) shared with the float64 mirror. It is
-// attached to a CSR32 by NewCSR32 when the source CSR carries a SELL
-// mirror, so the precision policy and the format policy compose
-// without either knowing about the other.
-type SELLCS32 struct {
-	Rows, Cols int
-	Perm       []int32
-	RowLen     []int32
-	SlicePtr   []int
-	ColIdx     []int32
-	Val        []float32
-
-	nnz int
-}
-
-// newSELLCS32 demotes a SELLCS. Like NewCSR32 it returns nil when a
-// value overflows float32 (padding slots are zero and always demote
-// cleanly).
-func newSELLCS32(s *SELLCS) *SELLCS32 {
-	val := make([]float32, len(s.Val))
-	for k, v := range s.Val {
-		f := float32(v)
-		if math.IsInf(float64(f), 0) && !math.IsInf(v, 0) {
-			return nil
-		}
-		val[k] = f
-	}
-	return &SELLCS32{
-		Rows: s.Rows, Cols: s.Cols,
-		Perm: s.Perm, RowLen: s.RowLen, SlicePtr: s.SlicePtr, ColIdx: s.ColIdx,
-		Val: val,
-		nnz: s.nnz,
-	}
-}
-
-// NNZ returns the number of stored (non-padding) entries.
-func (m *SELLCS32) NNZ() int { return m.nnz }
-
-func (m *SELLCS32) numSlices() int { return (m.Rows + SellC - 1) / SellC }
-
-// MulVec computes y = m*x in float32, bitwise identical to the source
-// CSR32's serial MulVec.
-func (m *SELLCS32) MulVec(x, y []float32) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic(ErrShape)
-	}
-	spmvRowsTraversed.Add(uint64(m.Rows))
-	ns := m.numSlices()
-	chunks := kernelChunks(2 * m.nnz)
-	if chunks > ns {
-		chunks = ns
-	}
-	if chunks <= 1 {
-		sellMulVec32Range(m, x, y, 0, ns)
-		return
-	}
-	r := getRun(opMulVecSell32)
-	r.sell32, r.x32, r.y32 = m, x, y
-	forkJoin(r, ns, chunks)
-	putRun(r)
-}
-
-// sellMulVec32Range is sellMulVecRange in float32.
-func sellMulVec32Range(m *SELLCS32, x, y []float32, sLo, sHi int) {
-	vals, cols := m.Val, m.ColIdx
-	rowLen, perm := m.RowLen, m.Perm
-	for s := sLo; s < sHi; s++ {
-		base := s * SellC
-		cnt := m.Rows - base
-		if cnt > SellC {
-			cnt = SellC
-		}
-		off := m.SlicePtr[s]
-		g := 0
-		for ; g+4 <= cnt; g += 4 {
-			l0 := int(rowLen[base+g])
-			l1 := int(rowLen[base+g+1])
-			l2 := int(rowLen[base+g+2])
-			l3 := int(rowLen[base+g+3])
-			var s0, s1, s2, s3 float32
-			k := off + g
-			t := 0
-			for ; t+2 <= l3; t += 2 {
-				k2 := k + cnt
-				s0 += vals[k] * x[cols[k]]
-				s1 += vals[k+1] * x[cols[k+1]]
-				s2 += vals[k+2] * x[cols[k+2]]
-				s3 += vals[k+3] * x[cols[k+3]]
-				s0 += vals[k2] * x[cols[k2]]
-				s1 += vals[k2+1] * x[cols[k2+1]]
-				s2 += vals[k2+2] * x[cols[k2+2]]
-				s3 += vals[k2+3] * x[cols[k2+3]]
-				k = k2 + cnt
-			}
-			if t < l3 {
-				s0 += vals[k] * x[cols[k]]
-				s1 += vals[k+1] * x[cols[k+1]]
-				s2 += vals[k+2] * x[cols[k+2]]
-				s3 += vals[k+3] * x[cols[k+3]]
-			}
-			if l0 > l3 {
-				s0 = sellRowTail32(vals, cols, x, s0, off+g, cnt, l3, l0)
-				if l1 > l3 {
-					s1 = sellRowTail32(vals, cols, x, s1, off+g+1, cnt, l3, l1)
-				}
-				if l2 > l3 {
-					s2 = sellRowTail32(vals, cols, x, s2, off+g+2, cnt, l3, l2)
-				}
-			}
-			y[perm[base+g]] = s0
-			y[perm[base+g+1]] = s1
-			y[perm[base+g+2]] = s2
-			y[perm[base+g+3]] = s3
-		}
-		for ; g < cnt; g++ {
-			y[perm[base+g]] = sellRowTail32(vals, cols, x, 0, off+g, cnt, 0, int(rowLen[base+g]))
-		}
-	}
-}
-
-// sellRowTail32 is sellRowTail in float32.
-func sellRowTail32(vals []float32, cols []int32, x []float32, s float32, base, stride, t0, t1 int) float32 {
 	k := base + t0*stride
 	for t := t0; t < t1; t++ {
 		s += vals[k] * x[cols[k]]

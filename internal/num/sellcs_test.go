@@ -93,34 +93,6 @@ func TestSELLStructure(t *testing.T) {
 	}
 }
 
-// TestSELL32MatchesCSR32 pins the float32 mirror against the serial
-// CSR32 kernel the same way.
-func TestSELL32MatchesCSR32(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := skewedCSR(rng, 500, 200)
-	a32 := NewCSR32(a)
-	if a32 == nil {
-		t.Fatal("NewCSR32 returned nil")
-	}
-	s32 := newSELLCS32(NewSELLCS(a))
-	if s32 == nil {
-		t.Fatal("newSELLCS32 returned nil")
-	}
-	x := make([]float32, a.Cols)
-	for i := range x {
-		x[i] = float32(rng.NormFloat64())
-	}
-	want := make([]float32, a.Rows)
-	mulVec32Range(a32, x, want, 0, a.Rows)
-	got := make([]float32, a.Rows)
-	s32.MulVec(x, got)
-	for i := range want {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("row %d: SELL32 %v != CSR32 %v", i, got[i], want[i])
-		}
-	}
-}
-
 // TestSELLParallelMatchesSerial forces the kernel-pool fork on a small
 // matrix (shrunk thresholds) and checks the result is still bitwise the
 // serial one — slices are independent, so the split cannot change bits.
@@ -150,110 +122,56 @@ func TestSELLParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestEnsureFormatPolicy walks the policy chain: explicit option beats
-// the process default beats the size heuristic, and a pathologically
-// padded matrix falls back to CSR with the fallback counter bumped.
+// paddedCSR builds an n-row matrix whose first row of every SellC-row
+// slice is wide and the rest hold only a diagonal: each σ window sorts
+// its wide rows into one slice, whose padding pushes PaddingRatio far
+// past sellMaxPadding.
+func paddedCSR(n int) *CSR {
+	c := NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		c.Add(i, i, 4)
+		if i%SellC == 0 {
+			for j := 0; j < 64; j++ {
+				c.Add(i, (i+j+1)%n, -0.01)
+			}
+		}
+	}
+	return c.ToCSR()
+}
+
+// TestEnsureFormatPolicy pins the layout rule as a table over row count
+// and padding: SELL-C-σ from sellMinRows rows up, unless the padding
+// ratio exceeds sellMaxPadding, in which case the operator stays CSR
+// and the fallback is counted. Small operators are never converted.
 func TestEnsureFormatPolicy(t *testing.T) {
-	t.Cleanup(func() { SetDefaultSparseFormat(FormatAuto) })
-
-	small := laplacian2D(8) // 64 rows, far below sellMinRows
-	small.EnsureFormat(FormatAuto)
-	if small.sell.Load() != nil {
-		t.Fatal("heuristic attached SELL below sellMinRows")
-	}
-	small.EnsureFormat(FormatSELL)
-	if small.sell.Load() == nil {
-		t.Fatal("explicit FormatSELL did not attach a mirror")
-	}
-
-	SetDefaultSparseFormat(FormatSELL)
-	viaDefault := laplacian2D(8)
-	viaDefault.EnsureFormat(FormatAuto)
-	if viaDefault.sell.Load() == nil {
-		t.Fatal("process default FormatSELL did not attach a mirror")
-	}
-	forcedCSR := laplacian2D(8)
-	forcedCSR.EnsureFormat(FormatCSR)
-	if forcedCSR.sell.Load() != nil {
-		t.Fatal("explicit FormatCSR did not override the process default")
-	}
-	SetDefaultSparseFormat(FormatAuto)
-
-	big := laplacian2D(70) // 4900 rows, above sellMinRows
-	big.EnsureFormat(FormatAuto)
-	if big.sell.Load() == nil {
-		t.Fatal("heuristic did not attach SELL above sellMinRows")
-	}
-
-	// One dense row among empties: padding ratio far beyond the
-	// threshold, so the conversion must be discarded and counted.
-	skew := NewCOO(SellC, 256)
-	for j := 0; j < 256; j++ {
-		skew.Add(0, j, 1)
-	}
-	padded := skew.ToCSR()
-	fb0 := sellFallbacks.Value()
-	padded.EnsureFormat(FormatSELL)
-	if padded.sell.Load() != nil {
-		t.Fatalf("padding ratio %v should have fallen back to CSR",
-			NewSELLCS(padded).PaddingRatio())
-	}
-	if sellFallbacks.Value() != fb0+1 {
-		t.Fatal("fallback not counted")
-	}
-}
-
-// TestParseSparseFormat pins the flag/env surface.
-func TestParseSparseFormat(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want SparseFormat
+	for _, tc := range []struct {
+		name         string
+		a            *CSR
+		wantSELL     bool
+		wantFallback bool
 	}{
-		{"", FormatAuto}, {"auto", FormatAuto}, {"csr", FormatCSR},
-		{"sell", FormatSELL}, {"SELLCS", FormatSELL}, {" Sell ", FormatSELL},
+		{"small", laplacian2D(8), false, false},
+		{"below-threshold", laplacian2D(63), false, false},
+		{"at-threshold", laplacian2D(64), true, false},
+		{"large", laplacian2D(70), true, false},
+		{"small/padded", paddedCSR(1024), false, false},
+		{"large/padded", paddedCSR(4096), false, true},
 	} {
-		got, err := ParseSparseFormat(c.in)
-		if err != nil || got != c.want {
-			t.Fatalf("ParseSparseFormat(%q) = %v, %v; want %v", c.in, got, err, c.want)
-		}
-	}
-	if _, err := ParseSparseFormat("ellpack"); err == nil {
-		t.Fatal("ParseSparseFormat accepted garbage")
-	}
-	for _, f := range []SparseFormat{FormatAuto, FormatCSR, FormatSELL} {
-		back, err := ParseSparseFormat(f.String())
-		if err != nil || back != f {
-			t.Fatalf("round trip %v -> %q -> %v, %v", f, f.String(), back, err)
-		}
-	}
-}
-
-// TestCSR32InheritsSELL: demoting a CSR that carries a SELL mirror must
-// produce a CSR32 carrying the float32 mirror, and the two must agree.
-func TestCSR32InheritsSELL(t *testing.T) {
-	a := laplacian2D(20)
-	a.EnsureFormat(FormatSELL)
-	a32 := NewCSR32(a)
-	if a32 == nil {
-		t.Fatal("NewCSR32 returned nil")
-	}
-	s32 := a32.sell.Load()
-	if s32 == nil {
-		t.Fatal("CSR32 did not inherit the SELL mirror")
-	}
-	x := make([]float32, a.Cols)
-	for i := range x {
-		x[i] = float32(i%5) - 2
-	}
-	want := make([]float32, a.Rows)
-	mulVec32Range(&CSR32{Rows: a32.Rows, Cols: a32.Cols, RowPtr: a32.RowPtr, ColIdx: a32.ColIdx, Val: a32.Val},
-		x, want, 0, a.Rows)
-	got := make([]float32, a.Rows)
-	a32.MulVec(x, got)
-	for i := range want {
-		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
-			t.Fatalf("row %d: inherited SELL32 %v != CSR32 %v", i, got[i], want[i])
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			conv0, fb0 := sellConversions.Value(), sellFallbacks.Value()
+			tc.a.ensureFormat()
+			tc.a.ensureFormat() // idempotent: converts at most once
+			if got := tc.a.sell.Load() != nil; got != tc.wantSELL {
+				t.Fatalf("SELL attached = %v, want %v (padding ratio %.2f)",
+					got, tc.wantSELL, NewSELLCS(tc.a).PaddingRatio())
+			}
+			if d := sellConversions.Value() - conv0; (d == 1) != tc.wantSELL || d > 1 {
+				t.Fatalf("conversion counter moved by %d", d)
+			}
+			if d := sellFallbacks.Value() - fb0; (d > 0) != tc.wantFallback {
+				t.Fatalf("fallback counter moved by %d, want fallback=%v", d, tc.wantFallback)
+			}
+		})
 	}
 }
 

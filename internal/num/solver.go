@@ -58,7 +58,7 @@ type SparseSolver struct {
 }
 
 // NewSparseSolver builds a solver for a, detecting symmetry once
-// (numerically, to 1e-12). opt.M overrides the policy-built
+// (numerically, to 1e-12). opt.M overrides the rule-built
 // preconditioner when non-nil.
 func NewSparseSolver(a *CSR, opt IterOptions) *SparseSolver {
 	return NewSparseSolverSymmetric(a, a.IsSymmetric(1e-12), opt)
@@ -71,19 +71,26 @@ func NewSparseSolver(a *CSR, opt IterOptions) *SparseSolver {
 // symmetric=true on a matrix that only CG cannot handle is still safe:
 // a CG breakdown falls back to BiCGSTAB on the same cached
 // preconditioner.
+//
+// The solver's layout and preconditioner follow from the operator
+// alone: a gets the SELL-C-σ mirror when it has at least 4096 rows and
+// pads by at most 25%, and unless opt.M is set the preconditioner is
+// geometric multigrid for a symmetric operator of at least
+// MGAutoThreshold rows whose grid opt.Shape describes, Jacobi
+// otherwise.
 func NewSparseSolverSymmetric(a *CSR, symmetric bool, opt IterOptions) *SparseSolver {
-	a.EnsureFormat(opt.Format)
+	a.ensureFormat()
 	s := &SparseSolver{a: a, sym: symmetric, opt: opt}
 	if opt.M != nil {
 		s.pre = opt.M
 	} else {
-		s.pre = buildPrecond(a, symmetric, opt)
+		s.pre = buildPrecond(a, symmetric, opt.Shape)
 	}
 	return s
 }
 
 // Precond returns the preconditioner the solver resolved at build time
-// (callers inspect it to confirm which policy branch was taken).
+// (callers inspect it to confirm which branch of the rule was taken).
 func (s *SparseSolver) Precond() Preconditioner { return s.pre }
 
 // Symmetric reports the cached symmetry decision.
@@ -142,7 +149,6 @@ func (s *SparseSolver) Solve(b, x []float64) (IterResult, error) {
 	defer s.mu.Unlock()
 	opt := s.opt
 	opt.M = s.pre
-	s.fmgSeed(b, x)
 	if s.sym {
 		res, err := CGWith(s.a, b, x, opt, &s.ws)
 		cgSolves.Inc()
@@ -171,23 +177,6 @@ func (s *SparseSolver) Solve(b, x []float64) (IterResult, error) {
 		solveFailures.Inc()
 	}
 	return res, err
-}
-
-// fmgSeed replaces a cold start (all-zero x) with a full-multigrid
-// initial guess when the cached preconditioner is a Multigrid built
-// with FMGGuess. Warm starts (nonzero x) are left alone — a previous
-// solution is a better guess than FMG.
-func (s *SparseSolver) fmgSeed(b, x []float64) {
-	mg, ok := s.pre.(*Multigrid)
-	if !ok || !mg.opt.FMGGuess {
-		return
-	}
-	for _, v := range x {
-		if v != 0 {
-			return
-		}
-	}
-	mg.FMG(b, x)
 }
 
 // SolveBlock solves the k systems A x_j = b_j together. b and x hold

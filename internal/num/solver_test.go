@@ -196,7 +196,7 @@ func TestKrylovWorkspaceZeroAlloc(t *testing.T) {
 
 	// Same contract with a multigrid preconditioner: hierarchy setup may
 	// allocate, the steady-state MG-preconditioned solve loop must not.
-	mg, err := NewGMG(a, GridShape{NX: 24, NY: 24}, MGOptions{})
+	mg, err := NewGMG(a, GridShape{NX: 24, NY: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,25 +209,6 @@ func TestKrylovWorkspaceZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("MG-preconditioned CGWith allocates %.1f per solve, want 0", allocs)
-	}
-
-	// Mixed-precision hierarchy: the float32 mirror is built at setup;
-	// the promote/demote boundary and the float32 cycles must not
-	// allocate either.
-	mg32, err := NewGMG(a, GridShape{NX: 24, NY: 24}, MGOptions{Precision: PrecisionFloat32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mg32.Precision() != PrecisionFloat32 {
-		t.Fatal("float32 hierarchy not active")
-	}
-	z := make([]float64, n)
-	mg32.Apply(b, z) // warm the stall probe's early applies
-	mg32.Apply(b, z)
-	mg32.Apply(b, z)
-	allocs = testing.AllocsPerRun(20, func() { mg32.Apply(b, z) })
-	if allocs != 0 {
-		t.Fatalf("float32 MG Apply allocates %.1f per cycle, want 0", allocs)
 	}
 
 	// Block solver: warm solves through a reused BlockWorkspace must not
@@ -255,11 +236,11 @@ func TestKrylovWorkspaceZeroAlloc(t *testing.T) {
 		t.Fatalf("BlockCG allocates %.1f per solve, want 0", allocs)
 	}
 
-	// SELL-backed solves: the format conversion happens at EnsureFormat
+	// SELL-backed solves: the format conversion happens at attachSELL
 	// (setup, may allocate); once the mirror is attached, steady-state
 	// MulVec and the solve loop through it must stay allocation-free.
 	as := laplacian2D(24)
-	as.EnsureFormat(FormatSELL)
+	as.attachSELL()
 	if as.sell.Load() == nil {
 		t.Fatal("SELL mirror not attached")
 	}

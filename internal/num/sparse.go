@@ -80,7 +80,7 @@ type CSR struct {
 	ColIdx     []int
 	Val        []float64
 
-	// sell is the optional SELL-C-σ mirror attached by EnsureFormat at
+	// sell is the optional SELL-C-σ mirror attached by ensureFormat at
 	// solver/hierarchy setup. When present, MulVec runs the sliced
 	// kernel instead of the row gather; results are bitwise identical
 	// either way. The pointer is atomic so a mirror can be attached
@@ -90,6 +90,15 @@ type CSR struct {
 
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.Val) }
+
+// Layout reports the layout MulVec runs on: "sell" once a SELL-C-σ
+// mirror is attached, "csr" otherwise.
+func (m *CSR) Layout() string {
+	if m.sell.Load() != nil {
+		return "sell"
+	}
+	return "csr"
+}
 
 // MulVec computes y = m*x. Large matrices are row-partitioned across
 // the kernel pool (see SetKernelThreads); the per-row sums are

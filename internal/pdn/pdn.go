@@ -147,7 +147,7 @@ type Solution struct {
 // on the grid geometry, the sheet resistance and the via sites — load
 // currents and the supply voltage enter the right-hand side alone — so
 // across a parameter sweep every point shares the matrix, the
-// preconditioner (geometric multigrid above the auto threshold; setup
+// preconditioner (geometric multigrid from num.MGAutoThreshold up; setup
 // is paid once here, not per point) and the Krylov workspace. The
 // internal warm start chains voltage fields between consecutive solves.
 // A Session is not safe for concurrent use.
@@ -207,7 +207,7 @@ func NewSession(p *Problem) (*Session, error) {
 	a := co.ToCSR()
 	shape := num.GridShape{NX: g.NX(), NY: g.NY()}
 	// The MNA stamps are symmetric by construction: CG without a scan.
-	// The grid shape lets the preconditioner policy build geometric
+	// The grid shape lets the preconditioner rule pick geometric
 	// multigrid for the default 106x85 grid and above.
 	solver := num.NewSparseSolverSymmetric(a, true, num.IterOptions{Tol: 1e-11, Shape: &shape})
 	return &Session{
