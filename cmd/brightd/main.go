@@ -36,7 +36,7 @@
 // Usage:
 //
 //	brightd [-addr :8080] [-workers N] [-queue N] [-cache N]
-//	        [-kernel-threads N] [-sweep-segment N]
+//	        [-kernel-threads N]
 //	        [-request-timeout 5m] [-drain-timeout 30s] [-debug-addr :6060]
 //	        [-max-sessions N] [-session-idle-timeout 2m] [-session-ring N]
 //
@@ -57,10 +57,11 @@
 // (-quota-rps/-quota-burst; 429 + Retry-After past the burst).
 // -hedge-min floors the hedge delay, -health-interval paces liveness
 // probes, -snapshot-interval paces the cache-snapshot pulls that make
-// warm rejoin possible, and -rebalance-depth enables mid-sweep chain
-// re-balancing: a shard still holding more than this many unfinished
-// chains of one sweep while another shard sits idle has its queued
-// chains moved over (0, the default, disables).
+// warm rejoin possible. Sweeps advance in the coordinator's own loop:
+// every health tick polls each unfinished chain's shard and resubmits
+// the chains whose shard died, so a sweep finishes and recovers from
+// shard loss with no client polling; GET /v1/jobs/{id} reports progress
+// as of the last tick, so it may lag by up to -health-interval.
 //
 // -debug-addr starts an opt-in debug listener serving net/http/pprof
 // under /debug/pprof/ — kept off the public address so profiling
@@ -73,12 +74,6 @@
 // pool, 1 avoids oversubscription (the workers already use every core).
 // The solvers' preconditioner and sparse layout are not configurable:
 // each solver picks them from its operator (see num.NewSparseSolverSymmetric).
-//
-// -sweep-segment bounds how many grid points one stealable sweep
-// segment carries (0 = default, negative disables chain splitting and
-// restores the whole-chain walk). Smaller segments spread a skewed
-// sweep across more workers at the cost of more cold warm-start
-// restarts; the default suits the paper's sweep shapes.
 package main
 
 import (
@@ -125,8 +120,6 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "shutdown drain budget")
 		debugAddr    = flag.String("debug-addr", "",
 			"opt-in debug listener serving /debug/pprof/ (empty = disabled)")
-		sweepSegment = flag.Int("sweep-segment", 0,
-			"max grid points per stealable sweep segment (0 = default, negative disables chain splitting)")
 		maxSessions = flag.Int("max-sessions", 8,
 			"streaming session cap; admissions past it answer 429")
 		sessionIdle = flag.Duration("session-idle-timeout", 2*time.Minute,
@@ -147,8 +140,6 @@ func main() {
 			"backend liveness probe period (coordinator mode)")
 		snapshotInterval = flag.Duration("snapshot-interval", 30*time.Second,
 			"backend cache-snapshot pull period, <0 disables (coordinator mode)")
-		rebalanceDepth = flag.Int("rebalance-depth", 0,
-			"per-shard unfinished-chain depth past which queued sweep chains move to idle shards, 0 disables (coordinator mode)")
 	)
 	flag.Parse()
 
@@ -161,7 +152,6 @@ func main() {
 			quotaBurst:       *quotaBurst,
 			healthInterval:   *healthInterval,
 			snapshotInterval: *snapshotInterval,
-			rebalanceDepth:   *rebalanceDepth,
 			reqTimeout:       *reqTimeout,
 			drainTimeout:     *drainTimeout,
 		})
@@ -188,7 +178,6 @@ func main() {
 		QueueDepth:    *queueDepth,
 		CacheSize:     *cacheSize,
 		KernelThreads: *kernThreads,
-		SweepSegment:  *sweepSegment,
 	})
 	sessions := stream.NewManager(stream.Options{
 		MaxSessions: *maxSessions,
@@ -250,7 +239,6 @@ type coordinatorConfig struct {
 	quotaBurst       int
 	healthInterval   time.Duration
 	snapshotInterval time.Duration
-	rebalanceDepth   int
 	reqTimeout       time.Duration
 	drainTimeout     time.Duration
 }
@@ -272,7 +260,6 @@ func runCoordinator(cfg coordinatorConfig) {
 		QuotaBurst:       cfg.quotaBurst,
 		HealthInterval:   cfg.healthInterval,
 		SnapshotInterval: cfg.snapshotInterval,
-		RebalanceDepth:   cfg.rebalanceDepth,
 	})
 	if err != nil {
 		log.Fatalf("brightd: -coordinator: %v (need -backends host:port,...)", err)

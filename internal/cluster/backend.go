@@ -181,29 +181,6 @@ func (b *backendClient) submitSweep(ctx context.Context, spec sim.SweepSpec) (jo
 	return out.JobID, out.Total, nil
 }
 
-// cancelJob aborts a shard-local sweep job (DELETE /v1/jobs/{id}).
-// Best-effort: on the re-balance path the superseding sub-job is
-// already authoritative and the stale one only wastes the old shard's
-// cycles, so failures are log-only.
-func (b *backendClient) cancelJob(ctx context.Context, id string) {
-	pr, err := b.roundTrip(ctx, http.MethodDelete, "/v1/jobs/"+id, nil)
-	if err != nil {
-		log.Printf("cluster: canceling superseded job %s on %s: %v", id, b.addr, err)
-		return
-	}
-	if pr.status/100 != 2 {
-		log.Printf("cluster: canceling superseded job %s on %s: status %d: %s",
-			id, b.addr, pr.status, truncate(pr.body))
-	}
-}
-
-// job polls a shard-local sweep job.
-func (b *backendClient) job(ctx context.Context, id string) (sim.JobView, error) {
-	var view sim.JobView
-	err := b.getInto(ctx, "/v1/jobs/"+id, &view)
-	return view, err
-}
-
 // truncate clips an error body for inclusion in an error message.
 func truncate(b []byte) string {
 	const max = 256

@@ -47,13 +47,6 @@ type Options struct {
 	// rejoin; 0 disables snapshotting (default 30s when unset via
 	// NewCoordinator's defaulting, explicit negative disables).
 	SnapshotInterval time.Duration
-	// RebalanceDepth gates mid-sweep chain re-balancing: when a shard
-	// holds more than this many unfinished chains of one sweep while
-	// another alive shard holds none, job polls move not-yet-started
-	// chains from the loaded shard to the idle one through the
-	// chain-resubmit path. 0 (the default) disables re-balancing —
-	// chains stay where the ring placed them.
-	RebalanceDepth int
 	// Client is the HTTP client for backend traffic; nil uses a
 	// dedicated client with no overall timeout (per-request contexts
 	// bound each call).
@@ -96,14 +89,18 @@ type clusterMetrics struct {
 	snapshotPulls    *obs.Counter
 	snapshotRestores *obs.Counter
 	chainResubmits   *obs.Counter
-	chainRebalances  *obs.Counter
 	proxyDur         *obs.Histogram
 }
 
 // NewCoordinator validates the options, builds the ring and registers
 // the bright_cluster_* metric families. Run must be started for health
-// checking and snapshot pulls to happen; the Handler works without it
-// (all backends presumed alive).
+// checking, snapshot pulls and sweep progress to happen: sweeps are
+// advanced (polled, recovered from shard loss, finished) only by Run's
+// loop, once per HealthInterval, so a sweep submitted through a
+// coordinator whose Run is not running never completes, and GET
+// /v1/jobs/{id} reflects progress as of the last pass — at most one
+// HealthInterval old. Evaluates and sessions work without Run (all
+// backends presumed alive).
 func NewCoordinator(opts Options) (*Coordinator, error) {
 	r, err := newRing(opts.Backends, opts.Vnodes)
 	if err != nil {
@@ -171,8 +168,6 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 			"Cache snapshots pushed into rejoining shards."),
 		chainResubmits: reg.Counter("bright_cluster_chain_resubmits_total",
 			"Sweep chains resubmitted after losing their shard."),
-		chainRebalances: reg.Counter("bright_cluster_chain_rebalances_total",
-			"Queued sweep chains moved from a loaded shard to an idle one mid-sweep."),
 		proxyDur: reg.Histogram("bright_cluster_proxy_duration_seconds",
 			"Latency of proxied backend exchanges.", obs.DefLatencyBuckets),
 	}
@@ -264,7 +259,7 @@ func (c *Coordinator) admit(w http.ResponseWriter, r *http.Request) bool {
 //
 //	POST /v1/evaluate    — routed by canonical key, hedged + failover
 //	POST /v1/sweep       — partitioned into whole chains across shards
-//	GET  /v1/jobs/{id}   — merged poll over the chain sub-jobs
+//	GET  /v1/jobs/{id}   — merged chain sub-jobs as of the last sweep pass
 //	GET  /v1/stats       — per-shard stats plus cluster aggregates
 //	GET  /metrics        — bright_cluster_* plus this process's obs.Default
 //	GET  /healthz        — coordinator liveness
@@ -440,11 +435,10 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		SnapshotPulls    uint64 `json:"snapshot_pulls"`
 		SnapshotRestores uint64 `json:"snapshot_restores"`
 		ChainResubmits   uint64 `json:"chain_resubmits"`
-		ChainRebalances  uint64 `json:"chain_rebalances"`
 	}{
 		Backends:         len(addrs),
 		Alive:            c.ring.aliveCount(),
-		JobsActive:       c.jobs.active(),
+		JobsActive:       len(c.jobs.unfinished()),
 		Hedges:           c.m.hedges.Value(),
 		HedgeWins:        c.m.hedgeWins.Value(),
 		Failovers:        c.m.failovers.Value(),
@@ -452,7 +446,6 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		SnapshotPulls:    c.m.snapshotPulls.Value(),
 		SnapshotRestores: c.m.snapshotRestores.Value(),
 		ChainResubmits:   c.m.chainResubmits.Value(),
-		ChainRebalances:  c.m.chainRebalances.Value(),
 	}
 	for _, s := range statuses {
 		if s.Stats != nil {
@@ -572,9 +565,11 @@ func (c *Coordinator) handleSessionProxy(w http.ResponseWriter, r *http.Request)
 
 // --- background loops -------------------------------------------------
 
-// Run drives the health and snapshot loops until ctx cancels. It probes
-// once immediately so a coordinator started against a partially dead
-// fleet converges before the first tick.
+// Run drives the health, sweep and snapshot loops until ctx cancels.
+// Every health tick is followed by a sweep pass, so sweeps recover on
+// the liveness the tick just established. It probes once immediately
+// so a coordinator started against a partially dead fleet converges
+// before the first tick.
 func (c *Coordinator) Run(ctx context.Context) {
 	fails := make(map[string]int, len(c.opts.Backends))
 	health := time.NewTicker(c.opts.HealthInterval)
@@ -592,6 +587,7 @@ func (c *Coordinator) Run(ctx context.Context) {
 			return
 		case <-health.C:
 			c.healthPass(ctx, fails)
+			c.sweepPass(ctx)
 		case <-snapC:
 			c.snapshotPass(ctx)
 		}

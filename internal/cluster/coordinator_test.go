@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -86,12 +87,17 @@ func (s *fakeSolver) chainKeys() map[string]bool {
 }
 
 // testBackend is one in-process shard: a real sim engine + handler on
-// an httptest server.
+// an httptest server. stallSweeps makes that many upcoming POST
+// /v1/sweep requests hang until the client gives up (a wedged shard the
+// ring still counts as alive); stalledSweeps counts the ones that did.
 type testBackend struct {
 	solver *fakeSolver
 	engine *sim.Engine
 	srv    *httptest.Server
 	addr   string
+
+	stallSweeps   atomic.Int64
+	stalledSweeps atomic.Int64
 }
 
 func newTestBackend(t *testing.T, solver *fakeSolver) *testBackend {
@@ -104,14 +110,25 @@ func newTestBackend(t *testing.T, solver *fakeSolver) *testBackend {
 			t.Errorf("engine shutdown: %v", err)
 		}
 	})
-	srv := httptest.NewServer(sim.NewHandler(e))
-	t.Cleanup(srv.Close)
-	return &testBackend{
-		solver: solver,
-		engine: e,
-		srv:    srv,
-		addr:   strings.TrimPrefix(srv.URL, "http://"),
-	}
+	b := &testBackend{solver: solver, engine: e}
+	h := sim.NewHandler(e)
+	mux := http.NewServeMux()
+	mux.Handle("/", h)
+	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
+		if n := b.stallSweeps.Load(); n > 0 && b.stallSweeps.CompareAndSwap(n, n-1) {
+			b.stalledSweeps.Add(1)
+			// Reading the body lets the server notice the client hang up.
+			if _, err := io.Copy(io.Discard, r.Body); err == nil {
+				<-r.Context().Done()
+			}
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
+	b.srv = httptest.NewServer(mux)
+	t.Cleanup(b.srv.Close)
+	b.addr = strings.TrimPrefix(b.srv.URL, "http://")
+	return b
 }
 
 // testCluster boots n in-process shards plus a coordinator.
@@ -145,6 +162,40 @@ func newTestCluster(t *testing.T, n int, mod func(*Options)) *testCluster {
 	tc.srv = httptest.NewServer(coord.Handler())
 	t.Cleanup(tc.srv.Close)
 	return tc
+}
+
+// startRun runs the coordinator's health/sweep/snapshot loop until the
+// test ends, waiting for it to exit so leakcheck sees it gone.
+func (tc *testCluster) startRun(t *testing.T) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tc.coord.Run(ctx)
+	}()
+	t.Cleanup(func() {
+		cancel()
+		<-done
+	})
+}
+
+// waitJob polls the coordinator's merged view until the job leaves the
+// running state.
+func (tc *testCluster) waitJob(t *testing.T, id string, timeout time.Duration) sim.JobView {
+	t.Helper()
+	var view sim.JobView
+	deadline := time.Now().Add(timeout)
+	for {
+		getJSON(t, tc.srv.URL+"/v1/jobs/"+id, &view)
+		if view.State != sim.JobRunning {
+			return view
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("cluster job %s stuck: %+v", id, view)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // backendFor returns the shard currently owning the config's canonical
@@ -223,18 +274,33 @@ func TestCoordinatorRoutesByCanonicalKey(t *testing.T) {
 		t.Fatalf("3 identical evaluates caused %d solves across the fleet, want 1", total)
 	}
 
-	// Distinct configurations spread across shards (with 3 backends and
-	// 20 keys, every shard should see work).
+	// Distinct configurations are each solved once, on the shard the
+	// ring assigns their canonical key. (The ring's spread is checked on
+	// fixed addresses in TestRingDeterministicAndBalanced: here the
+	// ports are random, and with them a shard owns none of 21 keys in
+	// a few percent of runs.)
+	want := map[string]int64{}
+	own := func(flow float64) {
+		cfg := core.DefaultConfig()
+		cfg.FlowMLMin = flow
+		owner, ok := tc.coord.ring.lookup(cfg.CanonicalKey())
+		if !ok {
+			t.Fatal("no alive backends in ring")
+		}
+		want[owner]++
+	}
+	own(300)
 	for i := 0; i < 20; i++ {
 		resp, body := postJSON(t, tc.srv.URL+"/v1/evaluate",
 			fmt.Sprintf(`{"flow_ml_min": %d}`, 100+10*i))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("evaluate: %d: %s", resp.StatusCode, body)
 		}
+		own(float64(100 + 10*i))
 	}
 	for _, b := range tc.backends {
-		if b.solver.calls.Load() == 0 {
-			t.Fatalf("backend %s received no work from 21 distinct configs", b.addr)
+		if got := b.solver.calls.Load(); got != want[b.addr] {
+			t.Fatalf("backend %s solved %d configs, ring assigns it %d of 21", b.addr, got, want[b.addr])
 		}
 	}
 }
@@ -293,7 +359,8 @@ func TestCoordinatorHedgesSlowShard(t *testing.T) {
 }
 
 func TestCoordinatorSweepKeepsChainsWhole(t *testing.T) {
-	tc := newTestCluster(t, 3, nil)
+	tc := newTestCluster(t, 3, func(o *Options) { o.HealthInterval = 50 * time.Millisecond })
+	tc.startRun(t)
 
 	// 2 flows x 2 inlets x 2 loads = 8 points in 4 chains of 2.
 	resp, body := postJSON(t, tc.srv.URL+"/v1/sweep",
@@ -313,18 +380,7 @@ func TestCoordinatorSweepKeepsChainsWhole(t *testing.T) {
 		t.Fatalf("accept body %+v, want total 8 in 4 chains", accepted)
 	}
 
-	var view sim.JobView
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		getJSON(t, tc.srv.URL+"/v1/jobs/"+accepted.JobID, &view)
-		if view.State != sim.JobRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster job stuck: %+v", view)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	view := tc.waitJob(t, accepted.JobID, 10*time.Second)
 	if view.State != sim.JobDone || view.Completed != 8 {
 		t.Fatalf("job finished %s with %d/%d", view.State, view.Completed, view.Total)
 	}
@@ -467,12 +523,25 @@ func TestCoordinatorStatsMergesFleet(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSweepResubmitsLostChains kills a shard while its chain
-// is still running: the next poll must resubmit that chain through the
-// ring (now routing around the death) and the job must still complete
-// with every point accounted for.
-func TestCoordinatorSweepResubmitsLostChains(t *testing.T) {
-	tc := newTestCluster(t, 3, nil)
+// submitSlowSweep posts a 4-point sweep in 2 chains (flows 100 and
+// 300) after slowing the shard that owns chain 0, so that chain is
+// still running when the test kills its shard. It returns the job id
+// and the slowed shard.
+func (tc *testCluster) submitSlowSweep(t *testing.T) (string, *testBackend) {
+	t.Helper()
+	cfg := core.DefaultConfig()
+	cfg.FlowMLMin = 100
+	addr, ok := tc.coord.ring.lookup(cfg.ChainKey())
+	if !ok {
+		t.Fatal("no alive backends in ring")
+	}
+	var victim *testBackend
+	for _, b := range tc.backends {
+		if b.addr == addr {
+			victim = b
+		}
+	}
+	victim.solver.delay = 200 * time.Millisecond
 	resp, body := postJSON(t, tc.srv.URL+"/v1/sweep",
 		`{"flows_ml_min": [100, 300], "chip_loads": [0.4, 0.8]}`)
 	if resp.StatusCode != http.StatusAccepted {
@@ -484,137 +553,218 @@ func TestCoordinatorSweepResubmitsLostChains(t *testing.T) {
 	if err := json.Unmarshal(body, &accepted); err != nil {
 		t.Fatal(err)
 	}
+	return accepted.JobID, victim
+}
 
-	// Kill the shard owning the first chain and tell the ring (standing
-	// in for the health loop, which is not running here).
-	job, ok := tc.coord.jobs.get(accepted.JobID)
-	if !ok {
-		t.Fatal("cluster job not registered")
-	}
-	job.mu.Lock()
-	victimAddr := job.chains[0].backend
-	job.mu.Unlock()
-	for _, b := range tc.backends {
-		if b.addr == victimAddr {
-			b.srv.Close()
-		}
-	}
-	tc.coord.ring.setAlive(victimAddr, false)
-
-	var view sim.JobView
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		getJSON(t, tc.srv.URL+"/v1/jobs/"+accepted.JobID, &view)
-		if view.State != sim.JobRunning {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("job never finished after shard loss: %+v", view)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+// checkSweepResults asserts a finished 4-point sweep from
+// submitSlowSweep: every point done, in grid order, with a report.
+func checkSweepResults(t *testing.T, view sim.JobView) {
+	t.Helper()
 	if view.State != sim.JobDone || view.Completed != 4 {
 		t.Fatalf("job finished %s with %d/4", view.State, view.Completed)
 	}
-	if got := tc.coord.m.chainResubmits.Value(); got == 0 {
-		t.Fatal("chain_resubmits_total stayed 0 after a shard died mid-sweep")
+	grid, err := sim.SweepSpec{FlowsMLMin: []float64{100, 300}, ChipLoads: []float64{0.4, 0.8}}.Grid()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(view.Results) != len(grid) {
+		t.Fatalf("%d results for %d grid points", len(view.Results), len(grid))
 	}
 	for i, res := range view.Results {
-		if res.Index != i || res.Report == nil {
+		if res.Index != i || res.Report == nil || res.Error != "" ||
+			res.Config.CanonicalKey() != grid[i].CanonicalKey() {
 			t.Fatalf("result %d malformed after resubmission: %+v", i, res)
 		}
 	}
 }
 
-// TestCoordinatorSweepRebalancesQueuedChains piles a sweep onto a fleet
-// where one shard is slow: once the fast shard drains its own chains it
-// goes idle while the slow one still holds a queue of untouched chains,
-// and with RebalanceDepth set the job polls must move queued chains over
-// to the idle shard instead of letting it sit.
-func TestCoordinatorSweepRebalancesQueuedChains(t *testing.T) {
-	tc := newTestCluster(t, 2, func(o *Options) { o.RebalanceDepth = 1 })
-
-	// 12 flows x 2 loads = 24 points in 12 chains of 2. Find the shard
-	// the ring loads most heavily and make it the slow one, so its
-	// chains are still untouched when the other shard goes idle.
-	flows := make([]float64, 12)
-	perShard := map[string]int{}
-	for i := range flows {
-		flows[i] = 100 + 20*float64(i)
-		cfg := core.DefaultConfig()
-		cfg.FlowMLMin = flows[i]
-		addr, ok := tc.coord.ring.lookup(cfg.ChainKey())
-		if !ok {
-			t.Fatal("ring lookup failed with two alive backends")
+// waitJobsIdle polls the coordinator's /v1/stats, never the job
+// itself, until no sweep is active and at least one chain has been
+// resubmitted.
+func (tc *testCluster) waitJobsIdle(t *testing.T, timeout time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(timeout)
+	for {
+		var stats struct {
+			Cluster struct {
+				JobsActive     int    `json:"jobs_active"`
+				ChainResubmits uint64 `json:"chain_resubmits"`
+			} `json:"cluster"`
 		}
-		perShard[addr]++
+		getJSON(t, tc.srv.URL+"/v1/stats", &stats)
+		if stats.Cluster.JobsActive == 0 && stats.Cluster.ChainResubmits >= 1 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("unpolled sweep never finished: cluster stats %+v", stats.Cluster)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
-	var slow *testBackend
+}
+
+// TestCoordinatorSweepResubmitsLostChains kills a shard while its chain
+// is still running and never polls the job: the coordinator's own loop
+// must notice the dead shard, resubmit its chain through the ring (now
+// routing around the death) and finish the job, which shows in
+// /v1/stats as jobs_active falling to 0. Only then does one GET read
+// the finished result, every point accounted for.
+func TestCoordinatorSweepResubmitsLostChains(t *testing.T) {
+	tc := newTestCluster(t, 3, func(o *Options) { o.HealthInterval = 50 * time.Millisecond })
+	tc.startRun(t)
+	id, victim := tc.submitSlowSweep(t)
+	victim.srv.Close()
+
+	tc.waitJobsIdle(t, 10*time.Second)
+	var view sim.JobView
+	getJSON(t, tc.srv.URL+"/v1/jobs/"+id, &view)
+	checkSweepResults(t, view)
+}
+
+// TestCoordinatorResubmitToStalledShard kills the shard running a chain
+// while the shard the ring fails over to hangs on its first POST
+// /v1/sweep. The resubmit must give up after one health interval
+// instead of wedging Run: health passes go on, the next sweep pass
+// resubmits again, and the job finishes.
+func TestCoordinatorResubmitToStalledShard(t *testing.T) {
+	tc := newTestCluster(t, 3, func(o *Options) { o.HealthInterval = 100 * time.Millisecond })
+	id, victim := tc.submitSlowSweep(t)
+	cfg := core.DefaultConfig()
+	cfg.FlowMLMin = 100
+	heir, ok := tc.coord.ring.next(cfg.ChainKey(), victim.addr)
+	if !ok {
+		t.Fatal("no failover shard in ring")
+	}
 	for _, b := range tc.backends {
-		if slow == nil || perShard[b.addr] > perShard[slow.addr] {
-			slow = b
+		if b.addr == heir {
+			b.stallSweeps.Store(1)
+			t.Cleanup(func() {
+				if got := b.stalledSweeps.Load(); got != 1 {
+					t.Errorf("failover shard stalled %d resubmits, want 1", got)
+				}
+			})
 		}
 	}
-	if perShard[slow.addr] < 2 {
-		t.Fatalf("ring spread 12 chains as %v; need >=2 on one shard", perShard)
-	}
-	// Long enough that every poll inside the window sees the slow
-	// shard's chains at zero completed points (still movable).
-	slow.solver.delay = 500 * time.Millisecond
+	victim.srv.Close()
+	tc.startRun(t)
 
-	flowsJSON, err := json.Marshal(flows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, body := postJSON(t, tc.srv.URL+"/v1/sweep",
-		fmt.Sprintf(`{"flows_ml_min": %s, "chip_loads": [0.4, 0.8]}`, flowsJSON))
+	tc.waitJobsIdle(t, 10*time.Second)
+	var view sim.JobView
+	getJSON(t, tc.srv.URL+"/v1/jobs/"+id, &view)
+	checkSweepResults(t, view)
+}
+
+// TestCoordinatorJobShowsFailedResubmit loses the only shard: no
+// resubmit can succeed, so the job stays running and its GET names why.
+func TestCoordinatorJobShowsFailedResubmit(t *testing.T) {
+	tc := newTestCluster(t, 1, func(o *Options) { o.HealthInterval = 50 * time.Millisecond })
+	tc.startRun(t)
+	tc.backends[0].solver.delay = 2 * time.Second
+	resp, body := postJSON(t, tc.srv.URL+"/v1/sweep", `{"chip_loads": [0.4, 0.8]}`)
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("sweep: %d: %s", resp.StatusCode, body)
 	}
 	var accepted struct {
-		JobID  string `json:"job_id"`
-		Chains int    `json:"chains"`
+		JobID string `json:"job_id"`
 	}
 	if err := json.Unmarshal(body, &accepted); err != nil {
 		t.Fatal(err)
 	}
-	if accepted.Chains != 12 {
-		t.Fatalf("sweep accepted %d chains, want 12", accepted.Chains)
-	}
+	tc.backends[0].srv.Close()
 
-	var view sim.JobView
-	deadline := time.Now().Add(30 * time.Second)
+	deadline := time.Now().Add(10 * time.Second)
 	for {
+		var view struct {
+			State sim.JobState `json:"state"`
+			Error string       `json:"error"`
+		}
 		getJSON(t, tc.srv.URL+"/v1/jobs/"+accepted.JobID, &view)
-		if view.State != sim.JobRunning {
-			break
+		if view.Error != "" {
+			if view.State != sim.JobRunning || !strings.Contains(view.Error, "no alive backends") {
+				t.Fatalf("job after losing every shard: %+v", view)
+			}
+			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("skewed sweep never finished: %+v", view)
+			t.Fatalf("failed resubmit never surfaced: %+v", view)
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
-	if view.State != sim.JobDone || view.Completed != 24 {
-		t.Fatalf("job finished %s with %d/24", view.State, view.Completed)
-	}
-	for i, res := range view.Results {
-		if res.Index != i || res.Report == nil || res.Error != "" {
-			t.Fatalf("result %d malformed after re-balancing: %+v", i, res)
+}
+
+// TestCoordinatorJobReadIgnoresStalledShard pins that GET /v1/jobs/{id}
+// is a read of recorded state: while the sweep pass sits in a poll the
+// shard never answers, the client's GET still answers at once.
+func TestCoordinatorJobReadIgnoresStalledShard(t *testing.T) {
+	e := sim.New(sim.Options{Workers: 1, Solver: (&fakeSolver{}).solve})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := e.Shutdown(ctx); err != nil {
+			t.Errorf("engine shutdown: %v", err)
 		}
+	})
+	polled := make(chan struct{}, 1)
+	mux := http.NewServeMux()
+	mux.Handle("/", sim.NewHandler(e))
+	mux.HandleFunc("GET /v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case polled <- struct{}{}:
+		default:
+		}
+		<-r.Context().Done() // stall until the poller gives up
+	})
+	backend := httptest.NewServer(mux)
+	t.Cleanup(backend.Close)
+
+	coord, err := NewCoordinator(Options{
+		Backends:         []string{strings.TrimPrefix(backend.URL, "http://")},
+		HealthInterval:   300 * time.Millisecond,
+		SnapshotInterval: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := tc.coord.m.chainRebalances.Value(); got == 0 {
-		t.Fatal("chain_rebalances_total stayed 0 with an idle shard beside a queue")
+	front := httptest.NewServer(coord.Handler())
+	t.Cleanup(front.Close)
+	tc := &testCluster{coord: coord, srv: front}
+	tc.startRun(t)
+
+	resp, body := postJSON(t, front.URL+"/v1/sweep", `{"chip_loads": [0.4, 0.8]}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("sweep: %d: %s", resp.StatusCode, body)
+	}
+	var accepted struct {
+		JobID string `json:"job_id"`
+	}
+	if err := json.Unmarshal(body, &accepted); err != nil {
+		t.Fatal(err)
+	}
+	sawPoll := false
+	select {
+	case <-polled:
+		sawPoll = true
+	case <-time.After(5 * time.Second):
+		// Checked after the GET, which must not reach the shard either way.
 	}
 
-	// The merged stats surface reports the moves.
-	var stats struct {
-		Cluster struct {
-			ChainRebalances uint64 `json:"chain_rebalances"`
-		} `json:"cluster"`
+	client := &http.Client{Timeout: 100 * time.Millisecond}
+	start := time.Now()
+	getResp, err := client.Get(front.URL + "/v1/jobs/" + accepted.JobID)
+	if err != nil {
+		t.Fatalf("GET during a stalled poll: %v after %v", err, time.Since(start))
 	}
-	getJSON(t, tc.srv.URL+"/v1/stats", &stats)
-	if stats.Cluster.ChainRebalances == 0 {
-		t.Fatal("merged stats hide chain_rebalances")
+	var view sim.JobView
+	if err := json.NewDecoder(getResp.Body).Decode(&view); err != nil {
+		t.Fatal(err)
+	}
+	if err := getResp.Body.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if getResp.StatusCode != http.StatusOK || view.State != sim.JobRunning || view.Total != 2 {
+		t.Fatalf("GET during a stalled poll: %d %+v, want 200 running/2", getResp.StatusCode, view)
+	}
+	if !sawPoll {
+		t.Fatal("the sweep pass never polled the shard")
 	}
 }
 

@@ -263,13 +263,14 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 }
 
-// TestClusterRebalanceUnevenShards boots two real brightd processes and
-// a coordinator with -rebalance-depth 1, then submits a sweep whose
-// chains all hash onto ONE shard — the worst placement the static ring
-// can produce. The other shard starts idle, so the coordinator's job
-// polls must move queued chains over to it mid-sweep and the job must
-// finish with every point accounted for.
-func TestClusterRebalanceUnevenShards(t *testing.T) {
+// TestClusterUnpolledSweepRecovers boots two real brightd processes and
+// a coordinator, submits a sweep whose chains all hash onto ONE shard,
+// and SIGKILLs that shard once it has solved a point. The client never
+// polls the job while it runs: the coordinator's own loop must notice
+// the death, resubmit the lost chains to the surviving shard and finish
+// the job, which the client sees as jobs_active 0 in /v1/stats. Only
+// then does one GET read the job, with every point done.
+func TestClusterUnpolledSweepRecovers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process e2e test skipped in -short mode")
 	}
@@ -310,8 +311,10 @@ func TestClusterRebalanceUnevenShards(t *testing.T) {
 		}
 		procs[name] = cmd
 	}
+	backendName := map[string]string{}
 	for i, addr := range backendAddrs {
-		startProc(fmt.Sprintf("backend-%d", i),
+		backendName[addr] = fmt.Sprintf("backend-%d", i)
+		startProc(backendName[addr],
 			"-addr", addr, "-workers", "1", "-cache", "64", "-kernel-threads", "1")
 	}
 	for _, addr := range backendAddrs {
@@ -323,7 +326,6 @@ func TestClusterRebalanceUnevenShards(t *testing.T) {
 		"-health-interval", "200ms",
 		"-snapshot-interval", "-1s",
 		"-hedge-min", "30s",
-		"-rebalance-depth", "1",
 		"-request-timeout", "2m")
 	coordURL := "http://" + coordAddr
 	waitHealthy(t, coordURL+"/healthz", 60*time.Second)
@@ -355,8 +357,7 @@ func TestClusterRebalanceUnevenShards(t *testing.T) {
 	flows := perShard[loadedAddr]
 
 	// 3 chains x 2 loads = 6 points, all owned by one shard. Real solves
-	// take ~1s each, so the first polls see the loaded shard's chains at
-	// zero completed points — movable — while the other shard is idle.
+	// take ~1s each, so the shard is still mid-sweep when it dies.
 	flowsJSON, err := json.Marshal(flows)
 	if err != nil {
 		t.Fatal(err)
@@ -378,28 +379,50 @@ func TestClusterRebalanceUnevenShards(t *testing.T) {
 		t.Fatalf("sweep accepted %d points in %d chains, want 6 in 3", accepted.Total, accepted.Chains)
 	}
 
-	view := pollJob(t, coordURL, accepted.JobID, 3*time.Minute)
-	if view.State != sim.JobDone || view.Completed != 6 {
-		t.Fatalf("sweep finished %s with %d/6 points", view.State, view.Completed)
+	loadedURL := "http://" + loadedAddr
+	deadline := time.Now().Add(2 * time.Minute)
+	for backendStats(t, loadedURL).Solves == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("loaded shard never solved a point")
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+	loaded := procs[backendName[loadedAddr]]
+	if err := loaded.Process.Kill(); err != nil {
+		t.Fatalf("SIGKILL loaded shard: %v", err)
+	}
+	_ = loaded.Wait() // reap; a killed process always reports an error
+	delete(procs, backendName[loadedAddr])
+
+	deadline = time.Now().Add(3 * time.Minute)
+	for {
+		var stats struct {
+			Cluster struct {
+				JobsActive int `json:"jobs_active"`
+			} `json:"cluster"`
+		}
+		getJSONURL(t, coordURL+"/v1/stats", &stats)
+		if stats.Cluster.JobsActive == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("unpolled sweep still active 3m after its shard died")
+		}
+		time.Sleep(200 * time.Millisecond)
+	}
+
+	var view sim.JobView
+	getJSONURL(t, coordURL+"/v1/jobs/"+accepted.JobID, &view)
+	if view.State != sim.JobDone || view.Completed != 6 || view.Failed != 0 {
+		t.Fatalf("sweep finished %s with %d/6 points (%d failed)", view.State, view.Completed, view.Failed)
 	}
 	for i, res := range view.Results {
 		if res.Index != i || res.Report == nil || res.Error != "" {
 			t.Fatalf("sweep result %d malformed: %+v", i, res)
 		}
 	}
-	if got := metricValue(t, coordURL, "bright_cluster_chain_rebalances_total"); got < 1 {
-		t.Fatalf("chain_rebalances_total = %v after an all-on-one-shard sweep with an idle peer", got)
-	}
-
-	// The idle shard must actually have solved some of the moved work.
-	var idleSolves uint64
-	for _, addr := range backendAddrs {
-		if addr != loadedAddr {
-			idleSolves += backendStats(t, "http://"+addr).Solves
-		}
-	}
-	if idleSolves == 0 {
-		t.Fatal("idle shard solved nothing despite re-balancing")
+	if got := metricValue(t, coordURL, "bright_cluster_chain_resubmits_total"); got < 1 {
+		t.Fatalf("chain_resubmits_total = %v after the loaded shard died mid-sweep", got)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log"
 	"net/http"
 	"sort"
 	"sync"
@@ -17,7 +18,9 @@ import (
 // contiguous run of grid points sharing a hydrodynamic condition
 // (core.Config.ChainKey), placed whole on a single shard so the shard's
 // batched chain solver keeps its neighbor warm starts. start/count
-// locate the chain in the client-visible global grid.
+// locate the chain in the client-visible global grid. key, spec, start
+// and count never change; the placement and progress fields below them
+// are guarded by the owning clusterJob's mu once the job is registered.
 type chainAssign struct {
 	key   string
 	spec  sim.SweepSpec
@@ -28,6 +31,15 @@ type chainAssign struct {
 	jobID   string
 	view    sim.JobView // last observed, indices still chain-local
 	final   bool
+	lost    string // why the last resubmit failed; "" once placed
+}
+
+// place records a (re)submission of the chain and resets its progress.
+func (ch *chainAssign) place(addr, jobID string) {
+	ch.backend, ch.jobID = addr, jobID
+	ch.view = sim.JobView{State: sim.JobRunning, Total: ch.count}
+	ch.final = false
+	ch.lost = ""
 }
 
 // partitionSweep splits a validated spec into its chains, mirroring the
@@ -110,57 +122,57 @@ func (r *clusterJobs) get(id string) (*clusterJob, bool) {
 	return j, ok
 }
 
-func (r *clusterJobs) active() int {
+// unfinished lists the jobs the sweep pass still has to advance.
+func (r *clusterJobs) unfinished() []*clusterJob {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := 0
+	var out []*clusterJob
 	for _, j := range r.jobs {
 		j.mu.Lock()
 		if !j.done {
-			n++
+			out = append(out, j)
 		}
 		j.mu.Unlock()
 	}
-	return n
+	return out
 }
 
 // submitChain routes a chain by its chain key and submits it, failing
-// over once to the next alive shard when the owner refuses.
-func (c *Coordinator) submitChain(ctx context.Context, ch *chainAssign) error {
+// over once to the next alive shard when the owner refuses. It returns
+// the placement without recording it: the caller does, under the job's
+// lock once the job is registered.
+func (c *Coordinator) submitChain(ctx context.Context, ch *chainAssign) (addr, jobID string, err error) {
 	addr, ok := c.ring.lookup(ch.key)
 	if !ok {
-		return fmt.Errorf("cluster: no alive backends")
+		return "", "", fmt.Errorf("cluster: no alive backends")
 	}
-	if err := c.submitChainTo(ctx, addr, ch); err != nil {
+	if jobID, err = c.submitChainTo(ctx, addr, ch); err != nil {
 		next, haveNext := c.ring.next(ch.key, addr)
 		if !haveNext {
-			return err
+			return "", "", err
 		}
 		c.m.failovers.Inc()
-		return c.submitChainTo(ctx, next, ch)
+		addr = next
+		jobID, err = c.submitChainTo(ctx, addr, ch)
 	}
-	return nil
+	return addr, jobID, err
 }
 
 // submitChainTo submits a chain's sub-sweep on a specific shard and
-// records the placement on the chain. The chain's previous placement
-// (if any) is overwritten — retiring the superseded sub-job is the
-// caller's business.
-func (c *Coordinator) submitChainTo(ctx context.Context, addr string, ch *chainAssign) error {
+// returns the shard-local job id.
+func (c *Coordinator) submitChainTo(ctx context.Context, addr string, ch *chainAssign) (string, error) {
 	jobID, _, err := c.clients[addr].submitSweep(ctx, ch.spec)
 	if err != nil {
-		return err
+		return "", err
 	}
 	c.m.routed[addr].Inc()
-	ch.backend, ch.jobID = addr, jobID
-	ch.view = sim.JobView{State: sim.JobRunning, Total: ch.count}
-	ch.final = false
-	return nil
+	return jobID, nil
 }
 
 // handleSweep partitions the sweep into whole chains, one sub-sweep per
-// chain on its owning shard, and answers 202 with a cluster job id that
-// handleJob merges polls for.
+// chain on its owning shard, and answers 202 with a cluster job id. The
+// coordinator's sweep pass advances the job from then on; handleJob
+// reads what it recorded.
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !c.admit(w, r) {
 		return
@@ -178,13 +190,16 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	job := &clusterJob{total: len(grid), started: time.Now(), chains: partitionSweep(spec)}
 	for _, ch := range job.chains {
-		if err := c.submitChain(r.Context(), ch); err != nil {
+		addr, jobID, err := c.submitChain(r.Context(), ch)
+		if err != nil {
 			// Chains already submitted keep running on their shards;
 			// their points land in those shards' caches, so a retry of
 			// this sweep is cheap.
 			writeError(w, r, http.StatusBadGateway, err)
 			return
 		}
+		// The job is not registered yet, so nothing else sees the chain.
+		ch.place(addr, jobID)
 	}
 	c.jobs.add(job)
 	writeJSON(w, r, http.StatusAccepted, map[string]any{
@@ -194,12 +209,16 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleJob polls every live chain's shard and merges the sub-jobs into
-// one client-visible JobView with global indices. A chain whose shard
-// died — or restarted and forgot the sub-job — is resubmitted through
-// the ring (which now routes around the death); the points it had
-// already solved re-resolve as cache hits on the new owner once the
-// snapshot hand-off has warmed it.
+// jobView is the coordinator's GET /v1/jobs/{id} body: the merged
+// sim.JobView plus, while a chain has lost its shard and no alive shard
+// has taken it back, why the last resubmit failed.
+type jobView struct {
+	sim.JobView
+	Error string `json:"error,omitempty"`
+}
+
+// handleJob answers the merged view the sweep pass last recorded. It
+// does no backend I/O, so a stalled shard cannot hold up the read.
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	job, ok := c.jobs.get(r.PathValue("id"))
 	if !ok {
@@ -207,104 +226,117 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	job.mu.Lock()
+	view := job.mergedViewLocked()
+	job.mu.Unlock()
+	writeJSON(w, r, http.StatusOK, view)
+}
+
+// sweepPass advances every unfinished sweep once; Run calls it after
+// each health pass. Every backend call is bounded by HealthInterval,
+// and a shard that fails one is skipped for the rest of the pass, so
+// one stalled shard costs the pass at most one timeout however many
+// jobs have chains on it.
+func (c *Coordinator) sweepPass(ctx context.Context) {
+	stalled := make(map[string]bool)
+	for _, job := range c.jobs.unfinished() {
+		c.advanceJob(ctx, job, stalled)
+	}
+}
+
+// advanceJob polls each unfinished chain's shard and records the view.
+// A chain whose shard is dead, or answers 404 because it restarted and
+// forgot the sub-job, is resubmitted through the ring (which routes
+// around the death); the points it had already solved re-resolve as
+// cache hits on the new owner once the snapshot hand-off has warmed it.
+// A resubmit that fails is recorded on the chain for GET to show and
+// retried next pass. The job is done once every chain is final. No
+// backend I/O runs under job.mu: placements are copied out first and
+// outcomes written back after. stalled holds the shards that failed a
+// call earlier in the pass; chains on them, or routed to them, wait.
+func (c *Coordinator) advanceJob(ctx context.Context, job *clusterJob, stalled map[string]bool) {
+	type placement struct {
+		ch             *chainAssign
+		backend, jobID string
+	}
+	var open []placement
+	job.mu.Lock()
+	for _, ch := range job.chains {
+		if !ch.final {
+			open = append(open, placement{ch, ch.backend, ch.jobID})
+		}
+	}
+	job.mu.Unlock()
+
+	for _, p := range open {
+		if stalled[p.backend] {
+			continue
+		}
+		if c.ring.isAlive(p.backend) {
+			view, found, err := c.pollChain(ctx, p.backend, p.jobID)
+			if err != nil {
+				// Transient failure against a live shard: keep the last
+				// view; the next pass retries, and the health loop
+				// declares the shard dead if it stays unreachable.
+				stalled[p.backend] = true
+				continue
+			}
+			if found {
+				job.mu.Lock()
+				p.ch.view = view
+				p.ch.final = view.State != sim.JobRunning
+				job.mu.Unlock()
+				continue
+			}
+			// 404: the shard restarted and forgot the sub-job.
+		}
+		owner, _ := c.ring.lookup(p.ch.key)
+		if stalled[owner] {
+			continue
+		}
+		addr, jobID, err := c.resubmitChain(ctx, p.ch)
+		if err != nil {
+			// The route through owner just failed, maybe after a full
+			// timeout; chains routed there wait for the next pass.
+			stalled[owner] = true
+			lost := fmt.Sprintf("resubmitting chain at %d after losing %s: %v", p.ch.start, p.backend, err)
+			log.Printf("cluster: %s: %s", job.id, lost)
+			job.mu.Lock()
+			p.ch.lost = lost
+			job.mu.Unlock()
+			continue
+		}
+		c.m.chainResubmits.Inc()
+		job.mu.Lock()
+		p.ch.place(addr, jobID)
+		job.mu.Unlock()
+	}
+
+	job.mu.Lock()
 	defer job.mu.Unlock()
 	for _, ch := range job.chains {
-		if ch.final {
-			continue
-		}
-		view, found, err := c.pollChain(r.Context(), ch)
-		switch {
-		case err != nil && !c.ring.isAlive(ch.backend), err == nil && !found:
-			// Dead shard, or a restarted one that lost its job registry.
-			c.m.chainResubmits.Inc()
-			if rerr := c.submitChain(r.Context(), ch); rerr != nil {
-				writeError(w, r, http.StatusBadGateway,
-					fmt.Errorf("resubmitting chain at %d after losing %s: %w", ch.start, ch.backend, rerr))
-				return
-			}
-		case err != nil:
-			// Transient poll failure against a live shard: keep the last
-			// observed view, the next poll retries.
-		default:
-			ch.view = view
-			if view.State != sim.JobRunning {
-				ch.final = true
-			}
-		}
-	}
-	c.rebalanceLocked(r.Context(), job)
-	writeJSON(w, r, http.StatusOK, job.mergedViewLocked())
-}
-
-// rebalanceLocked moves queued chains from overloaded shards to idle
-// ones mid-sweep. The ring's static partitioning can pile several
-// chains of one sweep onto a single shard while others sit empty; with
-// Options.RebalanceDepth > 0, each job poll checks for a shard holding
-// more than RebalanceDepth unfinished chains of this job alongside an
-// alive shard holding none, and moves a not-yet-started chain (zero
-// completed points) to the idle shard through the chain-resubmit path.
-// Only untouched chains move — a chain with progress stays put, its
-// solved points and warm solver state are worth more than placement
-// symmetry — and the superseded sub-job is canceled best-effort (its
-// solved-nothing state makes the cancel a cheap no-op in the common
-// case). Caller holds job.mu.
-func (c *Coordinator) rebalanceLocked(ctx context.Context, job *clusterJob) {
-	depth := c.opts.RebalanceDepth
-	if depth <= 0 {
-		return
-	}
-	pending := make(map[string]int)
-	queued := make(map[string][]*chainAssign)
-	for _, ch := range job.chains {
-		if ch.final {
-			continue
-		}
-		pending[ch.backend]++
-		if ch.view.Completed == 0 {
-			queued[ch.backend] = append(queued[ch.backend], ch)
-		}
-	}
-	var idle []string
-	for _, addr := range c.ring.backends() {
-		if c.ring.isAlive(addr) && pending[addr] == 0 {
-			idle = append(idle, addr)
-		}
-	}
-	for len(idle) > 0 {
-		// Most-loaded shard above the depth gate that still has a chain
-		// worth moving; ties resolve in backend-list order.
-		src := ""
-		for _, addr := range c.ring.backends() {
-			if pending[addr] > depth && len(queued[addr]) > 0 && (src == "" || pending[addr] > pending[src]) {
-				src = addr
-			}
-		}
-		if src == "" {
+		if !ch.final {
 			return
 		}
-		q := queued[src]
-		ch := q[len(q)-1] // deepest-queued: the least likely to start soon
-		queued[src] = q[:len(q)-1]
-		oldAddr, oldJob := ch.backend, ch.jobID
-		dst := idle[0]
-		idle = idle[1:]
-		if err := c.submitChainTo(ctx, dst, ch); err != nil {
-			// The idle shard refused; the chain keeps its old placement
-			// (submitChainTo leaves it untouched on error) and the next
-			// poll retries with whatever shards are idle then.
-			continue
-		}
-		c.m.chainRebalances.Inc()
-		pending[src]--
-		pending[dst]++
-		c.clients[oldAddr].cancelJob(ctx, oldJob)
 	}
+	job.done = true
 }
 
-// pollChain fetches one sub-job's view. found is false when the shard
-// answered but no longer knows the job (it restarted).
-func (c *Coordinator) pollChain(ctx context.Context, ch *chainAssign) (sim.JobView, bool, error) {
-	pr, err := c.clients[ch.backend].roundTrip(ctx, http.MethodGet, "/v1/jobs/"+ch.jobID, nil)
+// resubmitChain is submitChain bounded by the health interval, so a
+// shard that accepts the connection and never answers cannot hold up
+// Run's loop.
+func (c *Coordinator) resubmitChain(ctx context.Context, ch *chainAssign) (addr, jobID string, err error) {
+	ctx, cancel := context.WithTimeout(ctx, c.opts.HealthInterval)
+	defer cancel()
+	return c.submitChain(ctx, ch)
+}
+
+// pollChain fetches one sub-job's view, bounded by the health interval.
+// found is false when the shard answered but no longer knows the job
+// (it restarted).
+func (c *Coordinator) pollChain(ctx context.Context, addr, jobID string) (sim.JobView, bool, error) {
+	ctx, cancel := context.WithTimeout(ctx, c.opts.HealthInterval)
+	defer cancel()
+	pr, err := c.clients[addr].roundTrip(ctx, http.MethodGet, "/v1/jobs/"+jobID, nil)
 	if err != nil {
 		return sim.JobView{}, false, err
 	}
@@ -313,30 +345,35 @@ func (c *Coordinator) pollChain(ctx context.Context, ch *chainAssign) (sim.JobVi
 	}
 	if pr.status != http.StatusOK {
 		return sim.JobView{}, false, fmt.Errorf("cluster: polling job %s on %s: status %d: %s",
-			ch.jobID, ch.backend, pr.status, truncate(pr.body))
+			jobID, addr, pr.status, truncate(pr.body))
 	}
 	var view sim.JobView
 	if err := json.Unmarshal(pr.body, &view); err != nil {
-		return sim.JobView{}, false, fmt.Errorf("cluster: decoding job view from %s: %w", ch.backend, err)
+		return sim.JobView{}, false, fmt.Errorf("cluster: decoding job view from %s: %w", addr, err)
 	}
 	return view, true, nil
 }
 
 // mergedViewLocked folds the chain sub-views into the global JobView:
 // indices shifted to grid positions, counters summed, state the
-// conjunction of the chains' states. Caller holds job.mu.
-func (j *clusterJob) mergedViewLocked() sim.JobView {
+// conjunction of the chains' states, error the first chain's failed
+// resubmit. Caller holds job.mu.
+func (j *clusterJob) mergedViewLocked() jobView {
 	out := sim.JobView{
 		ID:        j.id,
 		State:     sim.JobDone,
 		Total:     j.total,
 		ElapsedMS: float64(time.Since(j.started).Milliseconds()),
 	}
+	lost := ""
 	allFinal := true
 	anyFailed, anyCanceled := false, false
 	for _, ch := range j.chains {
 		if !ch.final {
 			allFinal = false
+		}
+		if lost == "" {
+			lost = ch.lost
 		}
 		switch ch.view.State {
 		case sim.JobFailed:
@@ -360,8 +397,5 @@ func (j *clusterJob) mergedViewLocked() sim.JobView {
 		out.State = sim.JobCanceled
 	}
 	sort.Slice(out.Results, func(a, b int) bool { return out.Results[a].Index < out.Results[b].Index })
-	if out.State != sim.JobRunning {
-		j.done = true
-	}
-	return out
+	return jobView{JobView: out, Error: lost}
 }

@@ -52,6 +52,20 @@ func (c *lruCache) enabled() bool { return c.cap > 0 }
 // made /v1/stats show a growing miss count and a meaningless 0% hit
 // rate (the stats layer reports "disabled" instead).
 func (c *lruCache) Get(key string) (*core.Report, bool) {
+	rep, ok := c.peek(key)
+	switch {
+	case !c.enabled():
+	case ok:
+		c.hits.Add(1)
+	default:
+		c.misses.Add(1)
+	}
+	return rep, ok
+}
+
+// peek is Get without the hit/miss accounting, for the flight leader's
+// re-check of a lookup whose miss Get already counted.
+func (c *lruCache) peek(key string) (*core.Report, bool) {
 	if !c.enabled() {
 		return nil, false
 	}
@@ -59,11 +73,9 @@ func (c *lruCache) Get(key string) (*core.Report, bool) {
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses.Add(1)
 		return nil, false
 	}
 	c.order.MoveToFront(el)
-	c.hits.Add(1)
 	return el.Value.(*cacheEntry).rep, true
 }
 

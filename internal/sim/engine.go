@@ -61,14 +61,6 @@ type Options struct {
 	// CacheSize bounds the memoization LRU in entries (default 256;
 	// negative disables caching).
 	CacheSize int
-	// SweepSegment bounds the points one stealable sweep segment may
-	// carry: chains longer than the bound split (preferentially at
-	// supply-voltage boundaries) so a skewed grid cannot serialize a
-	// sweep behind one goroutine. 0 means the default (16); negative
-	// disables splitting, restoring whole-chain scheduling. The bound
-	// trades steal granularity against warm-start carry — each segment's
-	// first point re-warms its solver stack cold.
-	SweepSegment int
 	// KernelThreads caps the goroutines the numeric kernels (SpMV, dot,
 	// axpy) fork per operation; 0 keeps the current process-wide setting
 	// (which defaults to GOMAXPROCS). The setting is process-wide — the
@@ -79,29 +71,39 @@ type Options struct {
 	KernelThreads int
 	// Solver overrides the production solver (tests, benchmarks).
 	Solver Solver
-	// BatchSolver builds a fresh stateful solver for one sweep chain — a
-	// run of grid-adjacent points sharing the hydrodynamic condition,
+	// BatchChain builds a fresh stateful solver for one sweep segment —
+	// a run of grid-adjacent points sharing the hydrodynamic condition,
 	// executed sequentially so each point warm-starts from its
-	// neighbor's converged state. The default wraps core.NewBatch (one
-	// thermal session per condition, one PDN session per chain); when
-	// Solver is overridden and BatchSolver is not, chains reuse the
-	// overridden Solver (stateless, no warm carry).
-	BatchSolver func() Solver
-	// BatchChain, when set, supersedes BatchSolver: it additionally
-	// returns a ChainPrefetch that SubmitSweep hands the chain's full
-	// point list before the sequential walk begins, so the solver can
-	// batch work whose inputs are known upfront (the default
-	// core.NewBatch prefetch block-solves the chain's PDN grid points
-	// in one multi-RHS Krylov run). A nil prefetch is valid. Prefetch
-	// errors are counted and otherwise ignored — every point still
-	// solves correctly, just without the batched head start.
+	// neighbor's converged state — plus a ChainPrefetch that SubmitSweep
+	// hands the segment's full point list before the sequential walk
+	// begins, so the solver can batch work whose inputs are known upfront
+	// (the default core.NewBatch prefetch block-solves the segment's PDN
+	// grid points in one multi-RHS Krylov run). A nil prefetch is valid.
+	// Prefetch errors are counted and otherwise ignored — every point
+	// still solves correctly, just without the batched head start. The
+	// default wraps core.NewBatch (one thermal session per condition, one
+	// PDN session per segment); when Solver is overridden and BatchChain
+	// is not, segments reuse the overridden Solver (stateless, no warm
+	// carry).
 	BatchChain func() (Solver, ChainPrefetch)
 	// Metrics is the registry the engine publishes its serving metrics
 	// into; nil gives the engine a private registry (reachable via
 	// Engine.Metrics). One engine per registry: the gauge callbacks are
 	// bound to the engine that registered first.
 	Metrics *obs.Registry
+
+	// segment overrides the sweep segment bound (maxSegmentPoints) for
+	// in-package tests: positive splits chains at that bound, negative
+	// disables splitting.
+	segment int
 }
+
+// maxSegmentPoints bounds the points one stealable sweep segment carries:
+// chains longer than the bound split (preferentially at supply-voltage
+// boundaries) so a skewed grid cannot serialize a sweep behind one
+// goroutine. The bound trades steal granularity against warm-start
+// carry — each segment's first point re-warms its solver stack cold.
+const maxSegmentPoints = 16
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
@@ -113,12 +115,12 @@ func (o Options) withDefaults() Options {
 	if o.CacheSize == 0 {
 		o.CacheSize = 256
 	}
-	if o.SweepSegment == 0 {
-		o.SweepSegment = 16
+	if o.segment == 0 {
+		o.segment = maxSegmentPoints
 	}
 	if o.Solver == nil {
 		o.Solver = DefaultSolver
-		if o.BatchSolver == nil && o.BatchChain == nil {
+		if o.BatchChain == nil {
 			o.BatchChain = func() (Solver, ChainPrefetch) {
 				b := core.NewBatch()
 				return b.EvaluateContext, b.PrefetchChain
@@ -126,12 +128,8 @@ func (o Options) withDefaults() Options {
 		}
 	}
 	if o.BatchChain == nil {
-		if o.BatchSolver == nil {
-			s := o.Solver
-			o.BatchSolver = func() Solver { return s }
-		}
-		bs := o.BatchSolver
-		o.BatchChain = func() (Solver, ChainPrefetch) { return bs(), nil }
+		s := o.Solver
+		o.BatchChain = func() (Solver, ChainPrefetch) { return s, nil }
 	}
 	return o
 }
@@ -197,34 +195,30 @@ func (e *Engine) worker() {
 	defer e.workerWG.Done()
 	for t := range e.queue {
 		e.m.busyWorkers.Add(1)
-		start := time.Now()
-		rep, err := e.opts.Solver(t.ctx, t.cfg)
-		e.m.recordSolve(time.Since(start), err)
-		if err == nil {
-			e.cache.Add(t.key, rep)
-		}
-		e.flight.complete(t.key, t.call, rep, err)
+		e.solve(t, e.opts.Solver)
 		e.m.busyWorkers.Add(-1)
 	}
 }
 
-// enqueue places a task on the bounded queue. With block=false a full
-// queue returns ErrQueueFull immediately (external backpressure); with
-// block=true the send waits for a slot or the context (internal sweep
-// fan-out, which is itself bounded by the job's point list).
-func (e *Engine) enqueue(t *task, block bool) error {
+// solve runs a flight leader's task on solver and publishes the result:
+// cached on success, then handed to every follower.
+func (e *Engine) solve(t *task, solver Solver) {
+	start := time.Now()
+	rep, err := solver(t.ctx, t.cfg)
+	e.m.recordSolve(time.Since(start), err)
+	if err == nil {
+		e.cache.Add(t.key, rep)
+	}
+	e.flight.complete(t.key, t.call, rep, err)
+}
+
+// enqueue places a task on the bounded queue; a full queue returns
+// ErrQueueFull immediately (backpressure) instead of blocking.
+func (e *Engine) enqueue(t *task) error {
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()
 	if e.closed {
 		return ErrClosed
-	}
-	if block {
-		select {
-		case e.queue <- t:
-			return nil
-		case <-t.ctx.Done():
-			return t.ctx.Err()
-		}
 	}
 	select {
 	case e.queue <- t:
@@ -242,57 +236,19 @@ func (e *Engine) enqueue(t *task, block bool) error {
 // the flight leader, the solve itself (at solver iteration boundaries).
 // Failed or canceled solves are never cached.
 func (e *Engine) Evaluate(ctx context.Context, cfg core.Config) (*core.Report, error) {
-	return e.evaluate(ctx, cfg, false)
+	rep, _, err := e.evaluate(ctx, cfg, e.enqueue)
+	return rep, err
 }
 
-func (e *Engine) evaluate(ctx context.Context, cfg core.Config, block bool) (*core.Report, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	key := cfg.CanonicalKey()
-	for {
-		if rep, ok := e.cache.Get(key); ok {
-			return rep, nil
-		}
-		call, leader := e.flight.join(key)
-		if leader {
-			t := &task{ctx: ctx, cfg: cfg, key: key, call: call}
-			if err := e.enqueue(t, block); err != nil {
-				e.flight.forget(key, call, err)
-				return nil, err
-			}
-		}
-		select {
-		case <-call.done:
-			if call.err == nil {
-				return call.rep, nil
-			}
-			// A follower whose own context is still live should not be
-			// penalized for the leader's cancellation: retry the whole
-			// lookup and elect a new leader (the cache was not poisoned,
-			// so this re-solves). The flight group classified the
-			// completion, so every wait path applies the same rule.
-			if !leader && ctx.Err() == nil && call.leaderCanceled {
-				continue
-			}
-			return nil, call.err
-		case <-ctx.Done():
-			// The caller gives up waiting. The solve (if this caller led
-			// it) sees the same context and aborts at its next iteration
-			// boundary; followers keep waiting on their own contexts.
-			return nil, ctx.Err()
-		}
-	}
-}
-
-// evaluateChained is the sweep-chain variant of evaluate: the cache and
-// single-flight layers still apply, but the flight leader solves INLINE
-// with the chain's own stateful solver instead of enqueueing to the
-// worker pool — that is what lets consecutive points reuse one warm
-// solver stack. The solved return reports whether this call ran the
-// solver itself (leader, no cache hit), which is what the warm/cold
+// evaluate is the one cache + single-flight lookup behind Evaluate and
+// the sweep segments. The flight leader hands its task to lead, which
+// either enqueues it to the worker pool (Evaluate) or solves it inline on
+// a sweep segment's stateful solver, so consecutive points reuse one warm
+// solver stack. Either way the task's solve completes the flight, and
+// the leader then waits on it like any follower. solved reports whether
+// this call led a solve (no cache hit), which is what the warm/cold
 // chain metrics count.
-func (e *Engine) evaluateChained(ctx context.Context, cfg core.Config, solver Solver) (rep *core.Report, solved bool, err error) {
+func (e *Engine) evaluate(ctx context.Context, cfg core.Config, lead func(*task) error) (rep *core.Report, solved bool, err error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, false, err
 	}
@@ -303,29 +259,44 @@ func (e *Engine) evaluateChained(ctx context.Context, cfg core.Config, solver So
 		}
 		call, leader := e.flight.join(key)
 		if leader {
-			start := time.Now()
-			rep, err := solver(ctx, cfg)
-			e.m.recordSolve(time.Since(start), err)
-			if err == nil {
-				e.cache.Add(key, rep)
+			// The previous leader may have cached the report and left the
+			// flight between the Get above and the join; without this
+			// re-check the key would solve twice. The miss is already
+			// counted, so the re-check does not count again.
+			if rep, ok := e.cache.peek(key); ok {
+				e.flight.complete(key, call, rep, nil)
+				return rep, false, nil
 			}
-			e.flight.complete(key, call, rep, err)
-			return rep, true, err
+			if err := lead(&task{ctx: ctx, cfg: cfg, key: key, call: call}); err != nil {
+				e.flight.forget(key, call, err)
+				return nil, false, err
+			}
 		}
 		select {
 		case <-call.done:
-			if call.err == nil {
-				return call.rep, false, nil
-			}
-			// Same follower-retry rule as evaluate: a live follower is not
-			// penalized for the leader's cancellation.
-			if ctx.Err() == nil && call.leaderCanceled {
-				continue
-			}
-			return nil, false, call.err
 		case <-ctx.Done():
-			return nil, false, ctx.Err()
+			select {
+			case <-call.done: // an inline leader has already published
+			default:
+				// The caller gives up waiting. The solve (if this caller
+				// led it) sees the same context and aborts at its next
+				// iteration boundary; followers keep waiting on their own
+				// contexts.
+				return nil, leader, ctx.Err()
+			}
 		}
+		if call.err == nil {
+			return call.rep, leader, nil
+		}
+		// A follower whose own context is still live should not be
+		// penalized for the leader's cancellation: retry the whole lookup
+		// and elect a new leader (the cache was not poisoned, so this
+		// re-solves). The flight group classified the completion, so every
+		// wait path applies the same rule.
+		if !leader && ctx.Err() == nil && call.leaderCanceled {
+			continue
+		}
+		return nil, leader, call.err
 	}
 }
 

@@ -162,17 +162,22 @@ func TestQueueFullBackpressure(t *testing.T) {
 		}()
 		return done
 	}
-	// 1 running + 2 queued fill the engine.
-	pending := []chan error{submit(101), submit(102), submit(103)}
-	// Wait until the worker has picked up the first task and the queue
-	// holds the other two.
-	deadline := time.Now().Add(2 * time.Second)
-	for len(e.queue) < 2 || s.calls.Load() < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("engine never saturated: depth=%d calls=%d", len(e.queue), s.calls.Load())
+	// 1 running + 2 queued fill the engine. The worker must hold the
+	// first task before the other two arrive: submitted together, all
+	// three can reach the queue first and the third is rejected early.
+	waitFor := func(cond func() bool) {
+		deadline := time.Now().Add(2 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				t.Fatalf("engine never saturated: depth=%d calls=%d", len(e.queue), s.calls.Load())
+			}
+			time.Sleep(time.Millisecond)
 		}
-		time.Sleep(time.Millisecond)
 	}
+	pending := []chan error{submit(101)}
+	waitFor(func() bool { return s.calls.Load() == 1 })
+	pending = append(pending, submit(102), submit(103))
+	waitFor(func() bool { return len(e.queue) == 2 })
 
 	cfg := core.DefaultConfig()
 	cfg.FlowMLMin = 104

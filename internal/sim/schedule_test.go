@@ -138,7 +138,7 @@ func TestSegmentSchedulerDealAndSteal(t *testing.T) {
 // TestSweepSkewedChainSpeedup is the fairness acceptance test: a grid
 // whose chain structure leaves workers idle (one long chain) must
 // finish measurably faster with segment scheduling than with
-// whole-chain scheduling (SweepSegment < 0, the pre-scheduler
+// whole-chain scheduling (segment < 0, the pre-scheduler
 // behavior). Solves sleep a fixed 5ms, so the ratio measures scheduling
 // alone, not solver throughput — valid even on a single-core box.
 func TestSweepSkewedChainSpeedup(t *testing.T) {
@@ -157,7 +157,7 @@ func TestSweepSkewedChainSpeedup(t *testing.T) {
 		return fakeReport(cfg), nil
 	}
 	run := func(segment int) time.Duration {
-		e := newTestEngine(t, Options{Workers: 4, CacheSize: -1, SweepSegment: segment, Solver: sleepy})
+		e := newTestEngine(t, Options{Workers: 4, CacheSize: -1, segment: segment, Solver: sleepy})
 		start := time.Now()
 		job, err := e.SubmitSweep(context.Background(), SweepSpec{ChipLoads: loads})
 		if err != nil {
@@ -188,7 +188,7 @@ func TestSweepSegmentAccounting(t *testing.T) {
 	s := &countingSolver{}
 	// 2 chains of 10 load points, bound 4, no voltage boundaries: each
 	// chain force-splits at 8 → segments of 8+2 → 4 segments total.
-	e := newTestEngine(t, Options{Workers: 3, CacheSize: -1, SweepSegment: 4, Solver: s.solve})
+	e := newTestEngine(t, Options{Workers: 3, CacheSize: -1, segment: 4, Solver: s.solve})
 	loads := make([]float64, 10)
 	for i := range loads {
 		loads[i] = 0.25 + 0.05*float64(i)
@@ -241,7 +241,7 @@ func TestSweepStealObserved(t *testing.T) {
 	// the bound into 4 segments of 4, dealt 2+2 across 2 workers. The
 	// worker that lands the slow head segment lags; the other drains its
 	// own pair and steals from the laggard's tail.
-	e := newTestEngine(t, Options{Workers: 2, CacheSize: -1, SweepSegment: 2, Solver: skewed})
+	e := newTestEngine(t, Options{Workers: 2, CacheSize: -1, segment: 2, Solver: skewed})
 	job, err := e.SubmitSweep(context.Background(), SweepSpec{ChipLoads: loads})
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +271,7 @@ func TestSweepScheduleInvariance(t *testing.T) {
 	}
 	loads := []float64{0.4, 0.55, 0.7, 0.85, 1.0, 1.15}
 	run := func(workers int) map[int]string {
-		e := newTestEngine(t, Options{Workers: workers, CacheSize: -1, SweepSegment: 2})
+		e := newTestEngine(t, Options{Workers: workers, CacheSize: -1, segment: 2})
 		job, err := e.SubmitSweep(context.Background(), SweepSpec{ChipLoads: loads})
 		if err != nil {
 			t.Fatal(err)

@@ -63,8 +63,8 @@ type Stats struct {
 	SweepPointsWarm uint64 `json:"sweep_points_warm"`
 	SweepPointsCold uint64 `json:"sweep_points_cold"`
 
-	// Skew-aware segment scheduling: chains longer than
-	// Options.SweepSegment split into bounded segments dealt across the
+	// Skew-aware segment scheduling: chains longer than the segment
+	// bound (16 points) split into bounded segments dealt across the
 	// sweep workers; an idle worker steals queued segments from the
 	// most-loaded peer. Segments counts every segment executed (a chain
 	// at or under the bound is one segment); Steals counts the subset a

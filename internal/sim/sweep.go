@@ -239,7 +239,7 @@ func chainGrid(grid []core.Config) [][]gridPoint {
 
 // SubmitSweep expands the spec into warm-start chains (runs of
 // grid-adjacent points sharing the hydrodynamic condition), splits long
-// chains into bounded segments (Options.SweepSegment), and executes the
+// chains into bounded segments (maxSegmentPoints), and executes the
 // segment plan on a work-stealing pool of up to Options.Workers
 // goroutines, returning immediately with a pollable Job. Each segment
 // runs sequentially on its own stateful solver from Options.BatchChain:
@@ -279,7 +279,7 @@ func (e *Engine) SubmitSweep(ctx context.Context, spec SweepSpec) (*Job, error) 
 	// Chains are counted at plan time; a job canceled mid-flight still
 	// reports the chains it planned, matching Total's planned points.
 	e.m.sweepChains.Add(uint64(len(chains)))
-	segs := planSegments(chains, e.opts.SweepSegment)
+	segs := planSegments(chains, e.opts.segment)
 	workers := e.opts.Workers
 	if workers > len(segs) {
 		workers = len(segs)
@@ -321,6 +321,10 @@ func (e *Engine) SubmitSweep(ctx context.Context, spec SweepSpec) (*Job, error) 
 // segmentation), the rest are warm.
 func (e *Engine) runSegment(jobCtx context.Context, j *Job, pts []gridPoint) {
 	solver, prefetch := e.opts.BatchChain()
+	inline := func(t *task) error {
+		e.solve(t, solver)
+		return nil
+	}
 	if prefetch != nil && len(pts) > 1 {
 		cfgs := make([]core.Config, len(pts))
 		for i, pt := range pts {
@@ -348,7 +352,7 @@ func (e *Engine) runSegment(jobCtx context.Context, j *Job, pts []gridPoint) {
 			continue
 		}
 		start := time.Now()
-		rep, didSolve, err := e.evaluateChained(jobCtx, pt.cfg, solver)
+		rep, didSolve, err := e.evaluate(jobCtx, pt.cfg, inline)
 		if didSolve {
 			if solved > 0 {
 				e.m.sweepPointsWarm.Inc()
