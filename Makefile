@@ -99,7 +99,7 @@ BENCH_OUT ?= BENCH_PR10.json
 bench:
 	$(GO) test -run xxx -bench . -count 3 -benchmem ./internal/num > /tmp/bench_num.txt
 	$(GO) test -run xxx -bench . -benchmem ./internal/thermal > /tmp/bench_thermal.txt
-	$(GO) test -run xxx -bench BenchmarkEngineThroughput -benchmem . > /tmp/bench_engine.txt
+	$(GO) test -run xxx -bench 'BenchmarkEngineThroughput|BenchmarkSweepChain17' -benchmem . > /tmp/bench_engine.txt
 	$(GO) test -run xxx -bench BenchmarkTransientStepping -benchmem ./internal/stream > /tmp/bench_stream.txt
 	$(GO) run ./cmd/benchjson -o $(BENCH_OUT) /tmp/bench_num.txt /tmp/bench_thermal.txt /tmp/bench_engine.txt /tmp/bench_stream.txt
 	@echo wrote $(BENCH_OUT)

@@ -13,6 +13,7 @@ package bright_test
 //	BenchmarkS3TempSensitivityNominal— Sec. III-B <=4% coupling gain
 //	BenchmarkS4HotOperation          — Sec. III-B ~23% hot-operation gain
 //	BenchmarkAblation*               — design-choice studies
+//	BenchmarkSweepChain17            — a 17-voltage sweep chain on one core.Batch
 //
 // Headline quantities are attached to each benchmark via ReportMetric,
 // so `go test -bench . -benchmem` prints the paper-facing numbers next
@@ -28,6 +29,7 @@ import (
 	"bright"
 	"bright/internal/core"
 	"bright/internal/experiments"
+	"bright/internal/obs"
 )
 
 func BenchmarkFig3Polarization(b *testing.B) {
@@ -474,6 +476,36 @@ func BenchmarkEngineThroughput(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkSweepChain17 times the production sweep-chain path on the
+// real operator: one core.Batch walks 17 supply voltages at the nominal
+// hydrodynamic condition, exactly as a sweep segment does. A fresh
+// batch per op pays its runner's thermal unit-response solves once, so
+// thermal-krylov-iters/op reports the BiCGSTAB iterations one chain
+// costs.
+func BenchmarkSweepChain17(b *testing.B) {
+	bicg := obs.Default.Counter("bright_krylov_iterations_total", "", obs.L("method", "bicgstab"))
+	cfgs := make([]core.Config, 17)
+	for k := range cfgs {
+		cfgs[k] = core.DefaultConfig()
+		cfgs[k].SupplyVoltage = 0.8 + 0.025*float64(k)
+	}
+	ctx := context.Background()
+	iters0 := bicg.Value()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		batch := core.NewBatch()
+		if err := batch.PrefetchChain(ctx, cfgs); err != nil {
+			b.Fatal(err)
+		}
+		for _, cfg := range cfgs {
+			if _, err := batch.EvaluateContext(ctx, cfg); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(bicg.Value()-iters0)/float64(b.N), "thermal-krylov-iters/op")
 }
 
 func BenchmarkAblationChannelCount(b *testing.B) {

@@ -57,7 +57,7 @@
 // (-quota-rps/-quota-burst; 429 + Retry-After past the burst).
 // -hedge-min floors the hedge delay, -health-interval paces liveness
 // probes, -snapshot-interval paces the cache-snapshot pulls that make
-// warm rejoin possible. Sweeps advance in the coordinator's own loop:
+// warm rejoin possible and bounds each pull and rejoin push. Sweeps advance in the coordinator's own loop:
 // every health tick polls each unfinished chain's shard and resubmits
 // the chains whose shard died, so a sweep finishes and recovers from
 // shard loss with no client polling; GET /v1/jobs/{id} reports progress
@@ -139,7 +139,7 @@ func main() {
 		healthInterval = flag.Duration("health-interval", 2*time.Second,
 			"backend liveness probe period (coordinator mode)")
 		snapshotInterval = flag.Duration("snapshot-interval", 30*time.Second,
-			"backend cache-snapshot pull period, <0 disables (coordinator mode)")
+			"backend cache-snapshot pull period and the bound on each pull or rejoin push, <0 disables pulls (coordinator mode)")
 	)
 	flag.Parse()
 

@@ -88,6 +88,7 @@ type clusterMetrics struct {
 	quotaRejected    *obs.Counter
 	snapshotPulls    *obs.Counter
 	snapshotRestores *obs.Counter
+	coldRejoins      *obs.Counter
 	chainResubmits   *obs.Counter
 	proxyDur         *obs.Histogram
 }
@@ -166,6 +167,8 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 			"Cache snapshots pulled from shards."),
 		snapshotRestores: reg.Counter("bright_cluster_snapshot_restores_total",
 			"Cache snapshots pushed into rejoining shards."),
+		coldRejoins: reg.Counter("bright_cluster_cold_rejoins_total",
+			"Shards readmitted cold after HealthFailures consecutive failed snapshot pushes."),
 		chainResubmits: reg.Counter("bright_cluster_chain_resubmits_total",
 			"Sweep chains resubmitted after losing their shard."),
 		proxyDur: reg.Histogram("bright_cluster_proxy_duration_seconds",
@@ -571,7 +574,7 @@ func (c *Coordinator) handleSessionProxy(w http.ResponseWriter, r *http.Request)
 // so a coordinator started against a partially dead fleet converges
 // before the first tick.
 func (c *Coordinator) Run(ctx context.Context) {
-	fails := make(map[string]int, len(c.opts.Backends))
+	h := newHealthState(len(c.opts.Backends))
 	health := time.NewTicker(c.opts.HealthInterval)
 	defer health.Stop()
 	var snapC <-chan time.Time
@@ -580,13 +583,13 @@ func (c *Coordinator) Run(ctx context.Context) {
 		defer snap.Stop()
 		snapC = snap.C
 	}
-	c.healthPass(ctx, fails)
+	c.healthPass(ctx, h)
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-health.C:
-			c.healthPass(ctx, fails)
+			c.healthPass(ctx, h)
 			c.sweepPass(ctx)
 		case <-snapC:
 			c.snapshotPass(ctx)
@@ -594,44 +597,66 @@ func (c *Coordinator) Run(ctx context.Context) {
 	}
 }
 
+// healthState is the health loop's per-backend failure streaks, owned
+// by the goroutine running Run.
+type healthState struct {
+	probeFails map[string]int // consecutive failed liveness probes
+	pushFails  map[string]int // consecutive failed warm-rejoin pushes
+}
+
+func newHealthState(n int) *healthState {
+	return &healthState{probeFails: make(map[string]int, n), pushFails: make(map[string]int, n)}
+}
+
 // healthPass probes every backend once. A backend goes dead after
-// HealthFailures consecutive failed probes; it rejoins on the first
-// successful probe, receiving its last-known cache snapshot *before*
-// the ring starts routing to it, so rejoin traffic lands on a warm
-// cache.
-func (c *Coordinator) healthPass(ctx context.Context, fails map[string]int) {
+// HealthFailures consecutive failed probes; a dead backend that answers
+// a probe rejoins through rejoin.
+func (c *Coordinator) healthPass(ctx context.Context, h *healthState) {
 	for _, addr := range c.ring.backends() {
 		probeCtx, cancel := context.WithTimeout(ctx, c.opts.HealthInterval)
 		err := c.clients[addr].health(probeCtx)
 		cancel()
 		if err != nil {
-			fails[addr]++
-			if fails[addr] >= c.opts.HealthFailures && c.ring.isAlive(addr) {
+			h.probeFails[addr]++
+			h.pushFails[addr] = 0
+			if h.probeFails[addr] >= c.opts.HealthFailures && c.ring.isAlive(addr) {
 				c.ring.setAlive(addr, false)
 				c.m.backendUp[addr].Set(0)
-				log.Printf("cluster: backend %s dead after %d failed probes: %v", addr, fails[addr], err)
+				log.Printf("cluster: backend %s dead after %d failed probes: %v", addr, h.probeFails[addr], err)
 			}
 			continue
 		}
-		fails[addr] = 0
+		h.probeFails[addr] = 0
 		if !c.ring.isAlive(addr) {
-			c.rejoin(ctx, addr)
+			c.rejoin(ctx, addr, h)
 		}
 	}
 }
 
-// rejoin warms a recovered backend from its last pulled snapshot, then
-// readmits it to the ring.
-func (c *Coordinator) rejoin(ctx context.Context, addr string) {
+// rejoin warms a recovered backend from its last pulled snapshot
+// *before* the ring routes to it, so rejoin traffic lands on a warm
+// cache. The push is bounded like a pull. A failed push keeps the
+// backend out of the ring, to retry on the next health pass; after
+// HealthFailures consecutive failed pushes it is readmitted cold, so a
+// shard that cannot take its snapshot still serves.
+func (c *Coordinator) rejoin(ctx context.Context, addr string, h *healthState) {
 	c.snapMu.Lock()
 	snap, ok := c.snapshots[addr]
 	c.snapMu.Unlock()
 	if ok && len(snap.Entries) > 0 {
-		restoreCtx, cancel := context.WithTimeout(ctx, c.opts.HealthInterval)
-		restored, err := c.clients[addr].putSnapshot(restoreCtx, snap)
+		pushCtx, cancel := context.WithTimeout(ctx, c.snapshotTimeout())
+		restored, err := c.clients[addr].putSnapshot(pushCtx, snap)
 		cancel()
 		if err != nil {
-			log.Printf("cluster: warm rejoin of %s: snapshot push failed: %v", addr, err)
+			h.pushFails[addr]++
+			if h.pushFails[addr] < c.opts.HealthFailures {
+				log.Printf("cluster: warm rejoin of %s: snapshot push %d failed, retrying next pass: %v",
+					addr, h.pushFails[addr], err)
+				return
+			}
+			c.m.coldRejoins.Inc()
+			log.Printf("cluster: backend %s rejoined cold after %d failed snapshot pushes: %v",
+				addr, h.pushFails[addr], err)
 		} else {
 			c.m.snapshotRestores.Inc()
 			log.Printf("cluster: backend %s rejoined warm (%d cache entries restored)", addr, restored)
@@ -639,18 +664,24 @@ func (c *Coordinator) rejoin(ctx context.Context, addr string) {
 	} else {
 		log.Printf("cluster: backend %s rejoined cold (no snapshot on hand)", addr)
 	}
+	h.pushFails[addr] = 0
 	c.ring.setAlive(addr, true)
 	c.m.backendUp[addr].Set(1)
+}
+
+// snapshotTimeout bounds one snapshot pull or push: the snapshot
+// interval, or 10s when the ticker is disabled and passes run manually.
+func (c *Coordinator) snapshotTimeout() time.Duration {
+	if c.opts.SnapshotInterval > 0 {
+		return c.opts.SnapshotInterval
+	}
+	return 10 * time.Second
 }
 
 // snapshotPass pulls each alive backend's cache snapshot, keeping the
 // newest per backend as its warm-rejoin payload.
 func (c *Coordinator) snapshotPass(ctx context.Context) {
-	timeout := c.opts.SnapshotInterval
-	if timeout <= 0 {
-		// Manual passes (ticker disabled) still need a bound per pull.
-		timeout = 10 * time.Second
-	}
+	timeout := c.snapshotTimeout()
 	for _, addr := range c.ring.backends() {
 		if !c.ring.isAlive(addr) {
 			continue

@@ -90,6 +90,8 @@ func (s *fakeSolver) chainKeys() map[string]bool {
 // an httptest server. stallSweeps makes that many upcoming POST
 // /v1/sweep requests hang until the client gives up (a wedged shard the
 // ring still counts as alive); stalledSweeps counts the ones that did.
+// stallPuts does the same to upcoming PUT /v1/cache/snapshot requests,
+// and failPuts makes every snapshot PUT answer 500.
 type testBackend struct {
 	solver *fakeSolver
 	engine *sim.Engine
@@ -98,6 +100,9 @@ type testBackend struct {
 
 	stallSweeps   atomic.Int64
 	stalledSweeps atomic.Int64
+	stallPuts     atomic.Int64
+	stalledPuts   atomic.Int64
+	failPuts      atomic.Bool
 }
 
 func newTestBackend(t *testing.T, solver *fakeSolver) *testBackend {
@@ -114,16 +119,27 @@ func newTestBackend(t *testing.T, solver *fakeSolver) *testBackend {
 	h := sim.NewHandler(e)
 	mux := http.NewServeMux()
 	mux.Handle("/", h)
-	mux.HandleFunc("POST /v1/sweep", func(w http.ResponseWriter, r *http.Request) {
-		if n := b.stallSweeps.Load(); n > 0 && b.stallSweeps.CompareAndSwap(n, n-1) {
-			b.stalledSweeps.Add(1)
-			// Reading the body lets the server notice the client hang up.
-			if _, err := io.Copy(io.Discard, r.Body); err == nil {
-				<-r.Context().Done()
+	stall := func(budget, stalled *atomic.Int64) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			if n := budget.Load(); n > 0 && budget.CompareAndSwap(n, n-1) {
+				stalled.Add(1)
+				// Reading the body lets the server notice the client hang up.
+				if _, err := io.Copy(io.Discard, r.Body); err == nil {
+					<-r.Context().Done()
+				}
+				return
 			}
+			h.ServeHTTP(w, r)
+		}
+	}
+	mux.HandleFunc("POST /v1/sweep", stall(&b.stallSweeps, &b.stalledSweeps))
+	putSnapshot := stall(&b.stallPuts, &b.stalledPuts)
+	mux.HandleFunc("PUT /v1/cache/snapshot", func(w http.ResponseWriter, r *http.Request) {
+		if b.failPuts.Load() {
+			http.Error(w, "snapshot restore unavailable", http.StatusInternalServerError)
 			return
 		}
-		h.ServeHTTP(w, r)
+		putSnapshot(w, r)
 	})
 	b.srv = httptest.NewServer(mux)
 	t.Cleanup(b.srv.Close)
@@ -863,5 +879,79 @@ func TestCoordinatorWarmRejoin(t *testing.T) {
 	}
 	if n := freshSolver.calls.Load(); n != 0 {
 		t.Fatalf("resurrected shard solved %d times, want 0 (warm cache)", n)
+	}
+}
+
+// rejoinFixture warms the shard owning a config, pulls the fleet's
+// snapshots and marks that shard dead in the ring (it still answers
+// probes), so the next health pass drives its rejoin.
+func rejoinFixture(t *testing.T) (*testCluster, *testBackend) {
+	t.Helper()
+	tc := newTestCluster(t, 2, func(o *Options) {
+		o.HealthFailures = 2
+		o.SnapshotInterval = 200 * time.Millisecond // bounds each pull and push; passes run manually
+	})
+	cfg := core.DefaultConfig()
+	cfg.FlowMLMin = 300
+	victim := tc.backendFor(t, cfg)
+	resp, body := postJSON(t, tc.srv.URL+"/v1/evaluate", `{"flow_ml_min": 300}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("warming evaluate: %d: %s", resp.StatusCode, body)
+	}
+	tc.coord.snapshotPass(context.Background())
+	if got := tc.coord.m.snapshotPulls.Value(); got != 2 {
+		t.Fatalf("snapshot pulls = %d, want 2", got)
+	}
+	tc.coord.ring.setAlive(victim.addr, false)
+	tc.coord.m.backendUp[victim.addr].Set(0)
+	return tc, victim
+}
+
+// TestCoordinatorRejoinRetriesStalledPush: a snapshot push that stalls
+// past its bound keeps the shard out of the ring, and the next health
+// pass retries it and readmits the shard warm.
+func TestCoordinatorRejoinRetriesStalledPush(t *testing.T) {
+	tc, victim := rejoinFixture(t)
+	victim.stallPuts.Store(1)
+	h := newHealthState(2)
+	tc.coord.healthPass(context.Background(), h)
+	if victim.stalledPuts.Load() != 1 {
+		t.Fatalf("stalled puts = %d, want 1", victim.stalledPuts.Load())
+	}
+	if tc.coord.ring.isAlive(victim.addr) {
+		t.Fatal("shard readmitted after its snapshot push stalled")
+	}
+	tc.coord.healthPass(context.Background(), h)
+	if !tc.coord.ring.isAlive(victim.addr) {
+		t.Fatal("shard not readmitted after the retried push")
+	}
+	if got := tc.coord.m.snapshotRestores.Value(); got != 1 {
+		t.Fatalf("snapshot restores = %d, want 1", got)
+	}
+	if got := tc.coord.m.coldRejoins.Value(); got != 0 {
+		t.Fatalf("cold rejoins = %d, want 0", got)
+	}
+}
+
+// TestCoordinatorRejoinColdAfterFailedPushes: a shard that refuses
+// every snapshot push is readmitted cold after HealthFailures
+// consecutive failures, and the cold rejoin is counted.
+func TestCoordinatorRejoinColdAfterFailedPushes(t *testing.T) {
+	tc, victim := rejoinFixture(t)
+	victim.failPuts.Store(true)
+	h := newHealthState(2)
+	tc.coord.healthPass(context.Background(), h)
+	if tc.coord.ring.isAlive(victim.addr) {
+		t.Fatal("shard readmitted after one failed push")
+	}
+	tc.coord.healthPass(context.Background(), h)
+	if !tc.coord.ring.isAlive(victim.addr) {
+		t.Fatal("shard still out after HealthFailures failed pushes")
+	}
+	if got := tc.coord.m.coldRejoins.Value(); got != 1 {
+		t.Fatalf("cold rejoins = %d, want 1", got)
+	}
+	if got := tc.coord.m.snapshotRestores.Value(); got != 0 {
+		t.Fatalf("snapshot restores = %d, want 0", got)
 	}
 }

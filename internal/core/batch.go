@@ -3,118 +3,44 @@ package core
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"bright/internal/cosim"
-	"bright/internal/floorplan"
-	"bright/internal/mesh"
-	"bright/internal/pdn"
 )
 
-// Batch evaluates a sequence of configurations while reusing every
-// operator that consecutive points share:
-//
-//   - one cosim.Runner (assembled thermal FV network, its preconditioner
-//     and the previous converged temperature field) per hydrodynamic
-//     condition, rebuilt only when (FlowMLMin, InletTempC) changes;
-//   - one pdn.Session (power-grid matrix plus multigrid setup and the
-//     previous voltage field) for the whole batch, since the grid matrix
-//     does not depend on Config at all.
+// Batch evaluates a sequence of configurations while reusing the
+// operator that consecutive points share: one cosim.Runner (the
+// assembled thermal FV network and its unit responses) per
+// hydrodynamic condition, rebuilt only when (FlowMLMin, InletTempC)
+// changes. The power grid needs no per-batch state: every evaluation
+// reads the process-wide grid response.
 //
 // Fed points in sim.SweepSpec.Grid() row-major order — flow outermost,
-// load innermost — every run of points sharing (flow, inlet) chains warm
-// starts through one thermal session, which is the sweep-level win this
-// type exists for. A Batch is not safe for concurrent use.
+// load innermost — every run of points sharing (flow, inlet) pays the
+// thermal response's two Krylov solves once, which is the sweep-level
+// win this type exists for. A Batch is not safe for concurrent use.
 type Batch struct {
 	runner *cosim.Runner
-	pdnSes *pdn.Session
-
-	// gridCache holds chain-prefetched PDN solutions keyed by pdnKey:
-	// PrefetchChain batch-solves the distinct grid points of a sweep
-	// chain in one block-Krylov run, and EvaluateContext serves each
-	// point's grid stage from here instead of solving it again.
-	gridCache map[string]*pdn.Solution
 }
 
-// NewBatch returns an empty batch; caches fill lazily on first use.
+// NewBatch returns an empty batch; the runner is built on first use.
 func NewBatch() *Batch { return &Batch{} }
 
-// pdnKey identifies a configuration up to the fields the PDN solve
-// depends on — SupplyVoltage and ChipLoad — quantized like
-// Config.CanonicalKey so tolerance-equal points share one entry.
-func pdnKey(cfg Config) string {
-	q := func(v float64) float64 {
-		r := math.Round(v/keyTolerance) * keyTolerance
-		if r == 0 {
-			r = 0
-		}
-		return r
-	}
-	return fmt.Sprintf("%.9f|%.9f", q(cfg.SupplyVoltage), q(cfg.ChipLoad))
-}
-
-// PrefetchChain batch-solves the PDN operating points of a sweep chain
-// before its sequential walk begins. The grid inputs depend only on
-// (SupplyVoltage, ChipLoad), so the distinct grid points of the whole
-// chain are known upfront and solve together through the session's
-// block Krylov path — one matrix traversal per iteration serves every
-// point, instead of each point traversing the matrix alone during the
-// walk. Duplicate points dedupe to one solve. A prefetch error leaves
-// the batch fully usable: EvaluateContext simply solves per point.
+// PrefetchChain checks a sweep chain before its sequential walk: every
+// point must be a valid Config and ctx must still be live. It does no
+// solver work — the grid stage is answered by the process-wide
+// response and the thermal stage by the runner's — and survives as the
+// chain hook sim.Options.BatchChain hands each segment's point list to.
 func (b *Batch) PrefetchChain(ctx context.Context, cfgs []Config) error {
-	if len(cfgs) < 2 {
-		return nil
-	}
-	p, _, err := pdn.Power7Problem()
-	if err != nil {
-		return err
-	}
-	fp := floorplan.Power7()
-	var keys []string
-	var loads []*mesh.Field2D
-	var supplies []float64
-	seen := make(map[string]bool, len(cfgs))
 	for _, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
 			return err
 		}
-		k := pdnKey(cfg)
-		if seen[k] || b.gridCache[k] != nil {
-			continue
-		}
-		seen[k] = true
-		keys = append(keys, k)
-		loads = append(loads, pdnLoadFor(p, fp, cfg))
-		supplies = append(supplies, cfg.SupplyVoltage)
 	}
-	if len(keys) == 0 {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if b.pdnSes == nil {
-		ses, err := pdn.NewSession(p)
-		if err != nil {
-			return fmt.Errorf("core: power grid: %w", err)
-		}
-		b.pdnSes = ses
-	}
-	sols, err := b.pdnSes.SolveBatch(loads, supplies)
-	if err != nil {
-		return fmt.Errorf("core: chain prefetch: %w", err)
-	}
-	if b.gridCache == nil {
-		b.gridCache = make(map[string]*pdn.Solution, len(keys))
-	}
-	for i, k := range keys {
-		b.gridCache[k] = sols[i]
-	}
-	return nil
+	return ctx.Err()
 }
 
-// EvaluateContext evaluates one configuration, reusing cached state from
-// previous evaluations where still valid.
+// EvaluateContext evaluates one configuration, reusing the runner from
+// previous evaluations when the hydrodynamic condition matches.
 func (b *Batch) EvaluateContext(ctx context.Context, cfg Config) (*Report, error) {
 	s, err := NewSystem(cfg)
 	if err != nil {
@@ -127,13 +53,5 @@ func (b *Batch) EvaluateContext(ctx context.Context, cfg Config) (*Report, error
 		}
 		b.runner = r
 	}
-	s.pdnSession = b.pdnSes
-	if b.gridCache != nil {
-		s.gridPresolved = func(c Config) *pdn.Solution { return b.gridCache[pdnKey(c)] }
-	}
-	rep, err := s.evaluateWith(ctx, b.runner.RunContext)
-	if s.pdnSession != nil {
-		b.pdnSes = s.pdnSession // keep the lazily-built session for the next point
-	}
-	return rep, err
+	return s.evaluateWith(ctx, b.runner.RunContext)
 }

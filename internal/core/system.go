@@ -10,12 +10,12 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"bright/internal/cosim"
 	"bright/internal/floorplan"
 	"bright/internal/flowcell"
 	"bright/internal/hydro"
-	"bright/internal/mesh"
 	"bright/internal/pdn"
 	"bright/internal/thermal"
 	"bright/internal/units"
@@ -74,16 +74,34 @@ func (c Config) floatFields() []struct {
 
 // keyTolerance is the absolute quantum CanonicalKey rounds every field
 // to. It sits far below any solver tolerance in the stack (the co-sim
-// converges to 0.01 K, the linear solvers to ~1e-10 relative), so two
-// configs whose fields differ by less than this produce bitwise-equal
-// results and may share one cache entry.
+// converges to 0.01 K, the linear solvers to ~1e-10 relative), so
+// configs that share a key are indistinguishable to the physics.
 const keyTolerance = 1e-9
 
 // CanonicalKey returns a deterministic string key identifying the
 // configuration up to solver tolerance: each field is quantized to
 // keyTolerance before formatting, so configs that differ only below the
-// tolerance map to the same key. The key is human-readable on purpose —
-// it doubles as a cache-debugging aid.
+// tolerance map to the same key and may share one cache entry. The key
+// is human-readable on purpose — it doubles as a cache-debugging aid.
+//
+// What sharing a key guarantees depends on the path that produced the
+// answer:
+//
+//   - Cold evaluates (System.EvaluateContext, sim.DefaultSolver) are
+//     bitwise reproducible: the same Config gives the same Report on
+//     every call at a fixed kernel thread count (num.KernelThreads).
+//   - The grid stage is path-independent: Report.Grid is a pure
+//     function of (SupplyVoltage, ChipLoad), bitwise equal whether the
+//     point was evaluated cold or inside a sweep chain.
+//   - Chained answers (a Batch walking a sweep chain) match the cold
+//     answer within the co-simulation's tolerance, not bitwise: the
+//     Runner seeds each point's fixed point from the previous point's
+//     converged cell temperature, so the iterate it stops on depends on
+//     which neighbour was solved first. TestCanonicalKeyContract pins
+//     the per-output tolerances.
+//
+// A cache keyed on CanonicalKey therefore serves whichever of these
+// answers it stored first.
 func (c Config) CanonicalKey() string {
 	fields := c.floatFields()
 	parts := make([]string, len(fields))
@@ -104,10 +122,10 @@ func (c Config) CanonicalKey() string {
 // ChainKey returns a deterministic string key identifying only the
 // hydrodynamic operating condition — flow rate and inlet temperature,
 // quantized exactly like CanonicalKey. Configs sharing a ChainKey share
-// the thermal session's factorized operators and warm-start state, so
-// solving them back-to-back on one node is cheap; sweep chaining and the
-// cluster coordinator both partition work on this key to preserve that
-// locality.
+// the thermal operator and its unit responses (cosim.Runner), so
+// solving them back-to-back on one node skips every thermal solve after
+// the first; sweep chaining and the cluster coordinator both partition
+// work on this key to preserve that locality.
 func (c Config) ChainKey() string {
 	quant := func(v float64) float64 {
 		q := math.Round(v/keyTolerance) * keyTolerance
@@ -156,22 +174,22 @@ type System struct {
 	Floorplan *floorplan.Floorplan
 	Array     *flowcell.Array
 	VRM       pdn.VRM
-
-	// pdnSession lazily caches the assembled power-grid matrix, its
-	// preconditioner and the previous voltage field across Evaluate
-	// calls on this System: repeated evaluations (load sweeps on one
-	// System) skip reassembly and warm-start each DC solve. Evaluate is
-	// consequently not safe for concurrent use on a shared System; the
-	// sim engine builds one System per solve, which keeps its workers
-	// independent.
-	pdnSession *pdn.Session
-
-	// gridPresolved, when non-nil, is consulted before the PDN solve:
-	// a non-nil Solution for this Config (from a chain prefetch that
-	// batch-solved the whole sweep chain's grid points in one block
-	// Krylov run) is used directly and the per-point solve is skipped.
-	gridPresolved func(Config) *pdn.Solution
 }
+
+// power7Grid is the process-wide POWER7+ power-grid response. The grid
+// matrix depends only on the floorplan geometry, sheet resistance and
+// via sites, and the load only on the cache mask scaled by ChipLoad /
+// SupplyVoltage — none of it on anything else in Config — so one CG
+// solve, paid by the first evaluation in the process, answers the grid
+// stage of every evaluation after it. The response is immutable and
+// read concurrently by every engine worker.
+var power7Grid = sync.OnceValues(func() (*pdn.Response, error) {
+	p, _, err := pdn.Power7Problem()
+	if err != nil {
+		return nil, err
+	}
+	return pdn.NewResponse(p)
+})
 
 // NewSystem builds the integrated POWER7+ system at the given config.
 func NewSystem(cfg Config) (*System, error) {
@@ -269,30 +287,14 @@ func (s *System) evaluateWith(ctx context.Context,
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if s.gridPresolved != nil {
-		rep.Grid = s.gridPresolved(cfg)
+	grid, err := power7Grid()
+	if err != nil {
+		return nil, fmt.Errorf("core: power grid: %w", err)
 	}
-	if rep.Grid == nil {
-		p, _, err := pdn.Power7Problem()
-		if err != nil {
-			return nil, err
-		}
-		if s.pdnSession == nil {
-			// The grid matrix depends only on the floorplan geometry, sheet
-			// resistance and via sites — none of which vary with Config — so
-			// one session (and one multigrid setup) serves every evaluation.
-			ses, err := pdn.NewSession(p)
-			if err != nil {
-				return nil, fmt.Errorf("core: power grid: %w", err)
-			}
-			s.pdnSession = ses
-		}
-		grid, err := s.pdnSession.Solve(pdnLoadFor(p, s.Floorplan, cfg), cfg.SupplyVoltage)
-		if err != nil {
-			return nil, fmt.Errorf("core: power grid: %w", err)
-		}
-		rep.Grid = grid
-	}
+	// The cache load density is 1 W/cm2 at the rail voltage, so the
+	// current scales as ChipLoad / SupplyVoltage against the response's
+	// load map.
+	rep.Grid = grid.Solution(cfg.ChipLoad*grid.Supply()/cfg.SupplyVoltage, cfg.SupplyVoltage)
 
 	net := s.Array.HydraulicNetwork(cfg.ManifoldK, cfg.PumpEfficiency)
 	hyd, err := net.Evaluate(units.MLPerMinToM3PerS(cfg.FlowMLMin))
@@ -302,29 +304,6 @@ func (s *System) evaluateWith(ctx context.Context,
 	rep.Hydraulics = hyd
 	rep.NetElectricalGainW = rep.DeliveredW - hyd.PumpPower
 	return rep, nil
-}
-
-// pdnLoadFor builds the sink current density field the PDN solve uses
-// for cfg. The grid inputs depend only on (SupplyVoltage, ChipLoad) —
-// the co-simulation and hydraulic stages never feed back into them —
-// which is what lets a sweep chain batch-presolve every grid point
-// upfront (Batch.PrefetchChain). The problem's default field is never
-// mutated: scaling copies first, so one shared Problem can serve a
-// whole chain.
-func pdnLoadFor(p *pdn.Problem, f *floorplan.Floorplan, cfg Config) *mesh.Field2D {
-	load := p.LoadDensity
-	if cfg.SupplyVoltage != p.Supply {
-		load = pdn.CacheLoad(f, load.Grid, cfg.SupplyVoltage)
-	}
-	if cfg.ChipLoad != 1 {
-		if load == p.LoadDensity {
-			load = &mesh.Field2D{Grid: load.Grid, Data: append([]float64(nil), load.Data...)}
-		}
-		for k := range load.Data {
-			load.Data[k] *= cfg.ChipLoad
-		}
-	}
-	return load
 }
 
 // Summary renders the headline numbers as a human-readable block.

@@ -14,7 +14,6 @@ import (
 	"math"
 
 	"bright/internal/flowcell"
-	"bright/internal/mesh"
 	"bright/internal/obs"
 	"bright/internal/thermal"
 	"bright/internal/units"
@@ -122,10 +121,10 @@ type Result struct {
 	History []IterRecord
 }
 
-// effectiveCellTemp blends the wall and bulk coolant temperatures into
-// the film temperature the electrode boundary layer sees.
-func effectiveCellTemp(sol *thermal.Solution) float64 {
-	return 0.5 * (sol.MeanFluidT + sol.MeanWallT)
+// effectiveCellTemp blends the mean wall and bulk coolant temperatures
+// into the film temperature the electrode boundary layer sees.
+func effectiveCellTemp(meanFluidT, meanWallT float64) float64 {
+	return 0.5 * (meanFluidT + meanWallT)
 }
 
 // Run executes the fixed-point co-simulation.
@@ -150,24 +149,25 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	return r.RunContext(ctx, cfg)
 }
 
-// Runner caches the thermal session behind the co-simulation for one
+// Runner caches the thermal operator behind the co-simulation for one
 // hydrodynamic condition (total flow, inlet temperature): the FV network
-// is assembled and preconditioned exactly once, and every solve — across
-// fixed-point iterations AND across consecutive RunContext calls — warm
-// starts from the previous converged temperature field. Consecutive runs
-// that differ only in ChipLoad or TerminalVoltage (the inner axes of
-// sim.SweepSpec.Grid()'s row-major order) therefore skip both reassembly
-// and most Krylov iterations. A Runner is not safe for concurrent use.
+// is assembled and preconditioned exactly once, and its unit responses
+// (thermal.Response: two Krylov solves on the first run) answer every
+// later fixed-point iteration — across iterations AND across
+// consecutive RunContext calls at any ChipLoad or TerminalVoltage (the
+// inner axes of sim.SweepSpec.Grid()'s row-major order) — with an O(n)
+// combine and no linear solve. A Runner is not safe for concurrent use.
 type Runner struct {
 	flowMLMin, inletTempC float64
 	base                  *thermal.Problem
 	session               *thermal.Session
-	scaled                *mesh.Field2D
+	// response is built from session on the first run.
+	response *thermal.Response
 	// lastTCell is the previous run's converged cell temperature (0 until
 	// a run converges). Seeding the next run's fixed point from it — a
 	// continuation in the sweep's inner axes — converges in a fraction of
 	// the outer iterations a cold start from the inlet temperature needs,
-	// and each outer iteration saved is one full thermal solve saved.
+	// and each outer iteration saved is one flow-cell polarization saved.
 	lastTCell float64
 }
 
@@ -184,7 +184,6 @@ func NewRunner(flowMLMin, inletTempC float64) (*Runner, error) {
 		inletTempC: inletTempC,
 		base:       tp,
 		session:    session,
-		scaled:     &mesh.Field2D{Grid: tp.Power.Grid, Data: make([]float64, len(tp.Power.Data))},
 	}, nil
 }
 
@@ -196,8 +195,8 @@ func (r *Runner) Matches(flowMLMin, inletTempC float64) bool {
 }
 
 // RunContext executes the fixed-point co-simulation on the cached
-// session. The config's flow and inlet must match the runner's
-// condition; ChipLoad scales the power map into a reused buffer.
+// operator. The config's flow and inlet must match the runner's
+// condition; ChipLoad scales the power-map response.
 func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -207,12 +206,17 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("cosim: runner bound to %g ml/min, %g C cannot run %g ml/min, %g C",
 			r.flowMLMin, r.inletTempC, cfg.TotalFlowMLMin, cfg.InletTempC)
 	}
-	power := r.base.Power
-	if cfg.ChipLoad != 1 {
-		for k, v := range r.base.Power.Data {
-			r.scaled.Data[k] = v * cfg.ChipLoad
+	if r.response == nil {
+		resp, err := r.session.Response(ctx, r.base.Power)
+		if err != nil {
+			if ctx.Err() != nil {
+				cosimCanceled.Inc()
+				return nil, ctx.Err()
+			}
+			cosimErrored.Inc()
+			return nil, fmt.Errorf("cosim: thermal response: %w", err)
 		}
-		power = r.scaled
+		r.response = resp
 	}
 	tCell := units.CtoK(cfg.InletTempC)
 	if r.lastTCell != 0 {
@@ -241,28 +245,20 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			cosimErrored.Inc()
 			return nil, err
 		}
-		sol, err := r.session.SolveContext(ctx, power, heat)
-		if err != nil {
-			if ctx.Err() != nil {
-				cosimCanceled.Inc()
-				return nil, ctx.Err()
-			}
-			cosimErrored.Inc()
-			return nil, fmt.Errorf("cosim: thermal solve at iteration %d: %w", iter, err)
-		}
+		sum := r.response.Summary(cfg.ChipLoad, heat)
 		res.History = append(res.History, IterRecord{
 			CellTempK: tCell,
 			Current:   op.Current,
 			Power:     op.Power,
 			HeatW:     heat,
-			PeakTK:    sol.PeakT,
+			PeakTK:    sum.PeakT,
 		})
 		res.Operating = op
-		res.Thermal = sol
-		tNew := effectiveCellTemp(sol)
+		tNew := effectiveCellTemp(sum.MeanFluidT, sum.MeanWallT)
 		if math.Abs(tNew-tCell) < cfg.TolK {
 			res.Converged = true
 			res.CellTempK = tCell
+			res.Thermal = r.response.Solution(cfg.ChipLoad, heat)
 			r.lastTCell = tCell
 			cosimConverged.Inc()
 			return res, nil
@@ -270,6 +266,7 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		tCell += cfg.Relax * (tNew - tCell)
 	}
 	res.CellTempK = tCell
+	res.Thermal = r.response.Solution(cfg.ChipLoad, heat)
 	cosimMaxIter.Inc()
 	return res, fmt.Errorf("cosim: no convergence after %d iterations (last dT drive)", cfg.MaxIter)
 }

@@ -82,7 +82,7 @@ func PerChannelSpread(cfg Config) (*ChannelSpread, error) {
 	spread.SpreadPct = 100 * (spread.MaxA - spread.MinA) / spread.MeanA
 
 	// Equal-channel reference at the global mean film temperature.
-	uniform := flowcell.Power7ArrayAt(cfg.TotalFlowMLMin, effectiveCellTemp(sol))
+	uniform := flowcell.Power7ArrayAt(cfg.TotalFlowMLMin, effectiveCellTemp(sol.MeanFluidT, sol.MeanWallT))
 	opU, err := uniform.CurrentAtVoltage(cfg.TerminalVoltage)
 	if err != nil {
 		return nil, err

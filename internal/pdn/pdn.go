@@ -152,13 +152,70 @@ type Solution struct {
 // internal warm start chains voltage fields between consecutive solves.
 // A Session is not safe for concurrent use.
 type Session struct {
-	p         *Problem
+	layout
+	p      *Problem
+	solver *num.SparseSolver
+	b, x   []float64
+	bb, xx []float64 // column-major batch blocks (SolveBatch scratch)
+	warm   num.WarmStart
+}
+
+// layout is what turns a voltage vector into a Solution: the solve
+// grid, which of its cells lie in cache units, and the via sites with
+// their grid nodes.
+type layout struct {
 	g         *mesh.Grid2D
-	solver    *num.SparseSolver
+	cache     []bool // per cell index: center inside a cache unit
+	sites     []ViaSite
 	siteNodes []int
-	b, x      []float64
-	bb, xx    []float64 // column-major batch blocks (SolveBatch scratch)
-	warm      num.WarmStart
+}
+
+func newLayout(p *Problem, g *mesh.Grid2D) layout {
+	l := layout{g: g, cache: make([]bool, g.NumCells()), sites: p.Sites, siteNodes: make([]int, len(p.Sites))}
+	for j := 0; j < g.NY(); j++ {
+		for i := 0; i < g.NX(); i++ {
+			u := p.Floorplan.UnitAt(g.X.Centers[i], g.Y.Centers[j])
+			l.cache[g.Index(i, j)] = u != nil && u.Kind.IsCache()
+		}
+	}
+	for k, s := range p.Sites {
+		l.siteNodes[k] = g.Index(g.X.FindCell(s.X), g.Y.FindCell(s.Y))
+	}
+	return l
+}
+
+// solution extracts the Solution fields from a voltage vector, which
+// the Solution takes over as its field.
+func (l *layout) solution(v []float64, totalLoad, supply float64) *Solution {
+	g := l.g
+	sol := &Solution{
+		Grid:         g,
+		V:            &mesh.Field2D{Grid: g, Data: v},
+		MinV:         math.Inf(1),
+		MaxV:         math.Inf(-1),
+		MinVCache:    math.Inf(1),
+		TotalLoad:    totalLoad,
+		SiteCurrents: make([]float64, len(l.sites)),
+	}
+	for j := 0; j < g.NY(); j++ {
+		for i := 0; i < g.NX(); i++ {
+			val := v[g.Index(i, j)]
+			if val < sol.MinV {
+				sol.MinV = val
+			}
+			if val > sol.MaxV {
+				sol.MaxV = val
+			}
+			if l.cache[g.Index(i, j)] && val < sol.MinVCache {
+				sol.MinVCache = val
+				sol.WorstX, sol.WorstY = g.X.Centers[i], g.Y.Centers[j]
+			}
+		}
+	}
+	for k, node := range l.siteNodes {
+		sol.SiteCurrents[k] = (supply - v[node]) / l.sites[k].Resistance
+	}
+	return sol
 }
 
 // NewSession validates the problem and assembles the conductance matrix
@@ -196,13 +253,9 @@ func NewSession(p *Problem) (*Session, error) {
 	}
 	// Sources: conductance to the fixed supply (the supply level itself
 	// is RHS-only).
-	siteNodes := make([]int, len(p.Sites))
-	for k, s := range p.Sites {
-		i := g.X.FindCell(s.X)
-		j := g.Y.FindCell(s.Y)
-		node := g.Index(i, j)
-		siteNodes[k] = node
-		co.Add(node, node, 1/s.Resistance)
+	l := newLayout(p, g)
+	for k, node := range l.siteNodes {
+		co.Add(node, node, 1/p.Sites[k].Resistance)
 	}
 	a := co.ToCSR()
 	shape := num.GridShape{NX: g.NX(), NY: g.NY()}
@@ -211,7 +264,7 @@ func NewSession(p *Problem) (*Session, error) {
 	// multigrid for the default 106x85 grid and above.
 	solver := num.NewSparseSolverSymmetric(a, true, num.IterOptions{Tol: 1e-11, Shape: &shape})
 	return &Session{
-		p: p, g: g, solver: solver, siteNodes: siteNodes,
+		layout: l, p: p, solver: solver,
 		b: make([]float64, n), x: make([]float64, n),
 	}, nil
 }
@@ -252,42 +305,18 @@ func (s *Session) fillRHS(dst []float64, load *mesh.Field2D, supply float64) {
 	}
 }
 
-// buildSolution extracts the Solution fields from a solved voltage
-// vector (one column of a batched block, or the session vector). The
-// Solution owns a fresh copy of the field.
+// buildSolution extracts the Solution from a solved voltage vector (one
+// column of a batched block, or the session vector). The Solution owns
+// a fresh copy of the field.
 func (s *Session) buildSolution(x []float64, load *mesh.Field2D, supply float64) *Solution {
 	g := s.g
-	v := make([]float64, g.NumCells())
-	copy(v, x)
-	sol := &Solution{
-		Grid:         g,
-		V:            &mesh.Field2D{Grid: g, Data: v},
-		MinV:         math.Inf(1),
-		MaxV:         math.Inf(-1),
-		MinVCache:    math.Inf(1),
-		SiteCurrents: make([]float64, len(s.p.Sites)),
-	}
+	totalLoad := 0.0
 	for j := 0; j < g.NY(); j++ {
 		for i := 0; i < g.NX(); i++ {
-			val := sol.V.At(i, j)
-			if val < sol.MinV {
-				sol.MinV = val
-			}
-			if val > sol.MaxV {
-				sol.MaxV = val
-			}
-			u := s.p.Floorplan.UnitAt(g.X.Centers[i], g.Y.Centers[j])
-			if u != nil && u.Kind.IsCache() && val < sol.MinVCache {
-				sol.MinVCache = val
-				sol.WorstX, sol.WorstY = g.X.Centers[i], g.Y.Centers[j]
-			}
-			sol.TotalLoad += load.At(i, j) * g.CellArea(i, j)
+			totalLoad += load.At(i, j) * g.CellArea(i, j)
 		}
 	}
-	for k, node := range s.siteNodes {
-		sol.SiteCurrents[k] = (supply - v[node]) / s.p.Sites[k].Resistance
-	}
-	return sol
+	return s.solution(append([]float64(nil), x...), totalLoad, supply)
 }
 
 func (s *Session) solveWith(load *mesh.Field2D, supply float64, warm *num.WarmStart) (*Solution, error) {

@@ -36,9 +36,11 @@ var ErrClosed = errors.New("sim: engine closed")
 type Solver func(ctx context.Context, cfg core.Config) (*core.Report, error)
 
 // ChainPrefetch receives a sweep chain's complete point list before the
-// chain's sequential walk, letting a stateful chain solver presolve
-// whatever the points' known-upfront inputs allow (batched multi-RHS
-// PDN solves in the production path).
+// chain's sequential walk, letting a stateful chain solver check or
+// presolve whatever the points' known-upfront inputs allow. The
+// production core.Batch prefetch only validates the points and the
+// context: the grid stage needs no presolve since every evaluation
+// reads the process-wide grid response.
 type ChainPrefetch func(ctx context.Context, cfgs []core.Config) error
 
 // DefaultSolver is the production path: core.NewSystem + EvaluateContext.
@@ -73,18 +75,15 @@ type Options struct {
 	Solver Solver
 	// BatchChain builds a fresh stateful solver for one sweep segment —
 	// a run of grid-adjacent points sharing the hydrodynamic condition,
-	// executed sequentially so each point warm-starts from its
-	// neighbor's converged state — plus a ChainPrefetch that SubmitSweep
-	// hands the segment's full point list before the sequential walk
-	// begins, so the solver can batch work whose inputs are known upfront
-	// (the default core.NewBatch prefetch block-solves the segment's PDN
-	// grid points in one multi-RHS Krylov run). A nil prefetch is valid.
-	// Prefetch errors are counted and otherwise ignored — every point
-	// still solves correctly, just without the batched head start. The
-	// default wraps core.NewBatch (one thermal session per condition, one
-	// PDN session per segment); when Solver is overridden and BatchChain
-	// is not, segments reuse the overridden Solver (stateless, no warm
-	// carry).
+	// executed sequentially so each point reuses its neighbor's thermal
+	// operator and converged state — plus a ChainPrefetch that
+	// SubmitSweep hands the segment's full point list before the
+	// sequential walk begins. A nil prefetch is valid. Prefetch errors
+	// are counted and otherwise ignored — every point still solves
+	// correctly. The default wraps core.NewBatch (one thermal runner per
+	// condition, whose unit responses are solved once per segment); when
+	// Solver is overridden and BatchChain is not, segments reuse the
+	// overridden Solver (stateless, no warm carry).
 	BatchChain func() (Solver, ChainPrefetch)
 	// Metrics is the registry the engine publishes its serving metrics
 	// into; nil gives the engine a private registry (reachable via

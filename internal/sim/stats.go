@@ -72,10 +72,11 @@ type Stats struct {
 	SweepSegments uint64 `json:"sweep_segments"`
 	SweepSteals   uint64 `json:"sweep_steals"`
 
-	// Sweep chain prefetches: multi-point chains whose distinct PDN
-	// operating points were batch-presolved up front through the block
-	// Krylov path, by outcome. A failed prefetch costs nothing — the
-	// chain's points still solve in the sequential walk.
+	// Sweep chain prefetches: multi-point segments handed to the chain
+	// solver's prefetch before the walk, by outcome (the default
+	// core.Batch prefetch only checks the points and the context). A
+	// failed prefetch costs nothing — the chain's points still solve in
+	// the sequential walk.
 	SweepPrefetches     uint64 `json:"sweep_prefetches"`
 	SweepPrefetchErrors uint64 `json:"sweep_prefetch_errors"`
 
@@ -129,9 +130,9 @@ func newMetrics(reg *obs.Registry) *metrics {
 		sweepPointsCold: reg.Counter("bright_sweep_points_total",
 			"Sweep points solved inside a chain, by warm-start state.", obs.L("warm", "false")),
 		sweepPrefetches: reg.Counter("bright_sweep_chain_prefetches_total",
-			"Sweep chains whose upfront batch prefetch (multi-RHS PDN presolve) succeeded.", obs.L("ok", "true")),
+			"Sweep chains whose upfront chain prefetch succeeded.", obs.L("ok", "true")),
 		sweepPrefetchErrors: reg.Counter("bright_sweep_chain_prefetches_total",
-			"Sweep chains whose upfront batch prefetch (multi-RHS PDN presolve) succeeded.", obs.L("ok", "false")),
+			"Sweep chains whose upfront chain prefetch succeeded.", obs.L("ok", "false")),
 	}
 }
 

@@ -332,8 +332,7 @@ func (e *Engine) runSegment(jobCtx context.Context, j *Job, pts []gridPoint) {
 		}
 		if err := prefetch(jobCtx, cfgs); err != nil {
 			// Nothing is lost: every point still solves in the
-			// sequential walk below, just without the batched
-			// head start.
+			// sequential walk below.
 			e.m.sweepPrefetchErrors.Inc()
 		} else {
 			e.m.sweepPrefetches.Inc()

@@ -22,11 +22,10 @@ var (
 // Session caches one assembled steady-state thermal system — the FV
 // network matrix, its Jacobi preconditioner and the Krylov workspace —
 // for repeated solves where only the right-hand side changes: a new
-// power map, a new electrochemical loss heat, or both. This is exactly
-// the shape of the electro-thermal co-simulation fixed-point loop,
-// where the geometry, stack and flow are fixed across iterations; a
-// session there skips per-iteration reassembly entirely and each solve
-// warm-starts from the previous iteration's temperature field.
+// power map, a new electrochemical loss heat, or both. Solve re-solves
+// for an arbitrary power map, warm-starting from the previous call's
+// temperature field; when the power map only scales, Response answers
+// every (load, heat) pair from two solves (the co-simulation's case).
 //
 // Warm-start contract: the cached matrix and guess are valid only while
 // the Problem's geometry, stack, channel spec, grid resolution and flow

@@ -92,33 +92,54 @@ type system struct {
 // s.totalPower. The returned slice is an internal buffer, valid until
 // the next rhsWithPower call — copy it to keep it.
 func (s *system) rhsWithPower(power *mesh.Field2D, extraFluidHeat float64) ([]float64, error) {
-	if power.Grid.NX() != s.nx || power.Grid.NY() != s.ny {
-		return nil, fmt.Errorf("thermal: power grid %dx%d does not match solve grid %dx%d",
-			power.Grid.NX(), power.Grid.NY(), s.nx, s.ny)
+	if err := s.checkPowerGrid(power); err != nil {
+		return nil, err
 	}
 	if s.rhs == nil {
 		s.rhs = make([]float64, s.n)
 	}
 	b := s.rhs
 	copy(b, s.b)
-	nSolid := s.nx * s.ny * s.nz
-	if extraFluidHeat != 0 {
-		perCell := extraFluidHeat / float64(s.n-nSolid)
-		for i := nSolid; i < s.n; i++ {
-			b[i] += perCell
-		}
+	s.addFluidHeat(b, extraFluidHeat)
+	s.totalPower = s.addPower(b, power)
+	return b, nil
+}
+
+func (s *system) checkPowerGrid(power *mesh.Field2D) error {
+	if power.Grid.NX() != s.nx || power.Grid.NY() != s.ny {
+		return fmt.Errorf("thermal: power grid %dx%d does not match solve grid %dx%d",
+			power.Grid.NX(), power.Grid.NY(), s.nx, s.ny)
 	}
-	s.totalPower = 0
+	return nil
+}
+
+// addFluidHeat adds heat (W) to b spread uniformly over all fluid
+// nodes.
+func (s *system) addFluidHeat(b []float64, heat float64) {
+	if heat == 0 {
+		return
+	}
+	nSolid := s.nx * s.ny * s.nz
+	perCell := heat / float64(s.n-nSolid)
+	for i := nSolid; i < s.n; i++ {
+		b[i] += perCell
+	}
+}
+
+// addPower deposits the power field into every heat-source layer of b
+// and returns the integrated power (W).
+func (s *system) addPower(b []float64, power *mesh.Field2D) float64 {
+	total := 0.0
 	for _, k := range s.activeKs {
 		for j := 0; j < s.ny; j++ {
 			for i := 0; i < s.nx; i++ {
 				q := power.At(i, j) * s.grid.X.Widths[i] * s.grid.Y.Widths[j]
 				b[s.sIdx(i, j, k)] += q
-				s.totalPower += q
+				total += q
 			}
 		}
 	}
-	return b, nil
+	return total
 }
 
 func (s *system) sIdx(i, j, k int) int { return (k*s.ny+j)*s.nx + i }
