@@ -36,7 +36,6 @@
 // Usage:
 //
 //	brightd [-addr :8080] [-workers N] [-queue N] [-cache N]
-//	        [-kernel-threads N]
 //	        [-request-timeout 5m] [-drain-timeout 30s] [-debug-addr :6060]
 //	        [-max-sessions N] [-session-idle-timeout 2m] [-session-ring N]
 //
@@ -67,13 +66,11 @@
 // under /debug/pprof/ — kept off the public address so profiling
 // endpoints are never exposed to clients by accident.
 //
-// -kernel-threads caps the goroutines the numeric kernels fork inside
-// each solve (0 = GOMAXPROCS); it defaults from the BRIGHT_NUM_THREADS
-// environment variable. On a multi-core box serving few concurrent
-// requests, raise it toward the core count; under a saturated worker
-// pool, 1 avoids oversubscription (the workers already use every core).
-// The solvers' preconditioner and sparse layout are not configurable:
-// each solver picks them from its operator (see num.NewSparseSolverSymmetric).
+// Each solve runs its numeric kernels serially on its own goroutine;
+// the daemon's parallelism is the worker pool (-workers) plus
+// concurrent streaming sessions. The solvers' preconditioner and sparse
+// layout are not configurable: each solver picks them from its operator
+// (see num.NewSparseSolverSymmetric).
 package main
 
 import (
@@ -86,7 +83,6 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -96,26 +92,12 @@ import (
 	"bright/internal/stream"
 )
 
-// envInt reads an integer environment variable, returning def when the
-// variable is unset or malformed.
-func envInt(name string, def int) int {
-	if s := os.Getenv(name); s != "" {
-		if v, err := strconv.Atoi(s); err == nil {
-			return v
-		}
-		log.Printf("brightd: ignoring malformed %s=%q", name, s)
-	}
-	return def
-}
-
 func main() {
 	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		workers     = flag.Int("workers", runtime.NumCPU(), "worker pool size")
-		queueDepth  = flag.Int("queue", 64, "bounded job queue depth (full queue => 503)")
-		cacheSize   = flag.Int("cache", 256, "memoization LRU capacity in reports (negative disables)")
-		kernThreads = flag.Int("kernel-threads", envInt("BRIGHT_NUM_THREADS", 0),
-			"goroutine cap for the numeric kernels inside each solve (0 = GOMAXPROCS; env BRIGHT_NUM_THREADS)")
+		addr         = flag.String("addr", ":8080", "listen address")
+		workers      = flag.Int("workers", runtime.NumCPU(), "worker pool size")
+		queueDepth   = flag.Int("queue", 64, "bounded job queue depth (full queue => 503)")
+		cacheSize    = flag.Int("cache", 256, "memoization LRU capacity in reports (negative disables)")
 		reqTimeout   = flag.Duration("request-timeout", 5*time.Minute, "per-request solve timeout")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "shutdown drain budget")
 		debugAddr    = flag.String("debug-addr", "",
@@ -174,10 +156,9 @@ func main() {
 	}
 
 	engine := sim.New(sim.Options{
-		Workers:       *workers,
-		QueueDepth:    *queueDepth,
-		CacheSize:     *cacheSize,
-		KernelThreads: *kernThreads,
+		Workers:    *workers,
+		QueueDepth: *queueDepth,
+		CacheSize:  *cacheSize,
 	})
 	sessions := stream.NewManager(stream.Options{
 		MaxSessions: *maxSessions,

@@ -77,8 +77,7 @@ func TestClusterEndToEnd(t *testing.T) {
 	}
 	startBackend := func(i int) {
 		startProc(fmt.Sprintf("backend-%d", i),
-			"-addr", backendAddrs[i], "-workers", "1", "-cache", "64",
-			"-kernel-threads", "1")
+			"-addr", backendAddrs[i], "-workers", "1", "-cache", "64")
 	}
 
 	for i := range backendAddrs {
@@ -315,7 +314,7 @@ func TestClusterUnpolledSweepRecovers(t *testing.T) {
 	for i, addr := range backendAddrs {
 		backendName[addr] = fmt.Sprintf("backend-%d", i)
 		startProc(backendName[addr],
-			"-addr", addr, "-workers", "1", "-cache", "64", "-kernel-threads", "1")
+			"-addr", addr, "-workers", "1", "-cache", "64")
 	}
 	for _, addr := range backendAddrs {
 		waitHealthy(t, "http://"+addr+"/healthz", 60*time.Second)

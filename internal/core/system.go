@@ -89,7 +89,7 @@ const keyTolerance = 1e-9
 //
 //   - Cold evaluates (System.EvaluateContext, sim.DefaultSolver) are
 //     bitwise reproducible: the same Config gives the same Report on
-//     every call at a fixed kernel thread count (num.KernelThreads).
+//     every call, at any GOMAXPROCS.
 //   - The grid stage is path-independent: Report.Grid is a pure
 //     function of (SupplyVoltage, ChipLoad), bitwise equal whether the
 //     point was evaluated cold or inside a sweep chain.

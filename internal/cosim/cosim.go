@@ -10,6 +10,7 @@ package cosim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 
@@ -36,6 +37,11 @@ var (
 	cosimCanceled = obs.Default.Counter("bright_cosim_runs_total",
 		"Completed co-simulation runs by outcome.", obs.L("outcome", "canceled"))
 )
+
+// ErrNoConvergence reports a fixed point that did not settle within
+// Config.MaxIter iterations. The run is deterministic, so retrying the
+// same Config fails the same way; the partial Result is still returned.
+var ErrNoConvergence = errors.New("cosim: no convergence")
 
 // Config describes one co-simulation run on the POWER7+ case study.
 type Config struct {
@@ -268,7 +274,7 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	res.CellTempK = tCell
 	res.Thermal = r.response.Solution(cfg.ChipLoad, heat)
 	cosimMaxIter.Inc()
-	return res, fmt.Errorf("cosim: no convergence after %d iterations (last dT drive)", cfg.MaxIter)
+	return res, fmt.Errorf("%w after %d iterations (last dT drive)", ErrNoConvergence, cfg.MaxIter)
 }
 
 // IsothermalReference computes the array operating point with the

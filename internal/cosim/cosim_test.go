@@ -1,6 +1,7 @@
 package cosim
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -158,5 +159,21 @@ func TestReducedChipLoadReducesCoupling(t *testing.T) {
 	}
 	if idle.CurrentGain < 0 {
 		t.Fatalf("idle gain %.2f%% negative", 100*idle.CurrentGain)
+	}
+}
+
+// TestMaxIterIsErrNoConvergence: exhausting the iteration budget returns
+// the partial result together with an error that wraps the
+// ErrNoConvergence sentinel, so the serving layer can tell a solver
+// outcome from a bad request.
+func TestMaxIterIsErrNoConvergence(t *testing.T) {
+	cfg := nominalConfig()
+	cfg.MaxIter = 1 // the nominal point needs 6
+	res, err := Run(cfg)
+	if !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("err = %v, want ErrNoConvergence", err)
+	}
+	if res == nil || res.Converged || res.Iterations != 1 {
+		t.Fatalf("partial result %+v, want one unconverged iteration", res)
 	}
 }

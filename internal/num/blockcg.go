@@ -34,39 +34,18 @@ func (m *CSR) MulVecBlock(x, y []float64, k int) {
 		return
 	}
 	spmvRowsTraversed.Add(uint64(m.Rows))
-	chunks := kernelChunks(2 * m.NNZ() * k)
-	if chunks == 1 {
-		mulVecBlockRange(m, x, y, k, 0, m.Rows)
-		return
-	}
-	r := getRun(opMulVecBlock)
-	r.a, r.x, r.y, r.blockK = m, x, y, k
-	forkJoin(r, m.Rows, chunks)
-	r.blockK = 0
-	putRun(r)
+	mulVecBlockRange(m, x, y, k, 0, m.Rows)
 }
 
 // blockAp computes ap_j = A p_j and pap_j = <p_j, Ap_j> for every
-// active column. The serial traversal fuses the dot into the SpMV pass
+// active column in one traversal that fuses the dot into the SpMV pass
 // (each row's Ap value is consumed while still in register, so p and ap
-// are never re-read); a forked traversal falls back to MulVecBlock plus
-// per-column Dot, both of which ride the kernel pool. Inactive columns
-// are skipped — their pap entry is zeroed and their ap left stale,
-// which is fine because frozen columns do no further updates.
+// are never re-read). Inactive columns are skipped — their pap entry is
+// zeroed and their ap left stale, which is fine because frozen columns
+// do no further updates.
 func blockAp(a *CSR, p, ap []float64, k int, active []bool, pap []float64) {
-	if kernelChunks(2*a.NNZ()*k) == 1 {
-		spmvRowsTraversed.Add(uint64(a.Rows))
-		mulVecBlockDotRange(a, p, ap, k, active, pap, 0, a.Rows)
-		return
-	}
-	a.MulVecBlock(p, ap, k)
-	n := a.Rows
-	for j := 0; j < k; j++ {
-		pap[j] = 0
-		if active[j] {
-			pap[j] = Dot(p[j*n:(j+1)*n], ap[j*n:(j+1)*n])
-		}
-	}
+	spmvRowsTraversed.Add(uint64(a.Rows))
+	mulVecBlockDotRange(a, p, ap, k, active, pap, 0, a.Rows)
 }
 
 // BlockWorkspace holds the scratch of BlockCG so repeated batched

@@ -6,15 +6,13 @@ import (
 	"testing"
 )
 
-// TestBlockCGMatchesSequential is the determinism pin: block CG run
-// serially must produce, per column, the same iterates as a sequential
-// per-RHS CG from the same guesses — to 1e-10 elementwise. The
+// TestBlockCGMatchesSequential is the determinism pin: block CG must
+// produce, per column, the same iterates as a sequential per-RHS CG
+// from the same guesses — to 1e-10 elementwise. The
 // per-column recurrences and i-ascending strided reductions reproduce
 // the sequential summation order exactly, so in practice the match is
 // bitwise; 1e-10 is the contract.
 func TestBlockCGMatchesSequential(t *testing.T) {
-	SetKernelThreads(1)
-	t.Cleanup(func() { SetKernelThreads(0) })
 	const n, k = 48, 5
 	a := laplacian2D(n)
 	rng := rand.New(rand.NewSource(41))
@@ -203,7 +201,7 @@ func TestSolveBlock(t *testing.T) {
 }
 
 // TestMulVecBlockMatchesMulVec: the column-major multi-RHS SpMV must
-// agree with k independent MulVec calls, serial and parallel.
+// agree bitwise with k independent MulVec calls.
 func TestMulVecBlockMatchesMulVec(t *testing.T) {
 	a := laplacian2D(24)
 	rows := a.Rows
@@ -217,24 +215,11 @@ func TestMulVecBlockMatchesMulVec(t *testing.T) {
 	for j := 0; j < k; j++ {
 		a.MulVec(xx[j*rows:(j+1)*rows], want[j*rows:(j+1)*rows])
 	}
-	check := func(tag string) {
-		got := make([]float64, rows*k)
-		a.MulVecBlock(xx, got, k)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("%s: block SpMV mismatch at %d: %g vs %g", tag, i, got[i], want[i])
-			}
+	got := make([]float64, rows*k)
+	a.MulVecBlock(xx, got, k)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("block SpMV mismatch at %d: %g vs %g", i, got[i], want[i])
 		}
 	}
-	SetKernelThreads(1)
-	check("serial")
-	// Force the forked path by shrinking the thresholds.
-	SetKernelThreads(4)
-	oldMin, oldChunk := parallelMinWork, parallelChunkWork
-	parallelMinWork, parallelChunkWork = 1, 512
-	t.Cleanup(func() {
-		parallelMinWork, parallelChunkWork = oldMin, oldChunk
-		SetKernelThreads(0)
-	})
-	check("parallel")
 }

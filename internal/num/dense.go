@@ -178,61 +178,22 @@ func SolveDense(a *Dense, b []float64) ([]float64, error) {
 	return f.Solve(b)
 }
 
-// Dot returns the inner product of x and y. Large operands are reduced
-// in deterministic chunks across the kernel pool (see SetKernelThreads).
+// Dot returns the inner product of x and y, summed in index order.
 func Dot(x, y []float64) float64 {
 	if len(x) != len(y) {
 		panic(ErrShape)
 	}
-	n := len(x)
-	chunks := kernelChunks(n)
-	if chunks == 1 {
-		return dotRange(x, y, 0, n)
-	}
-	r := getRun(opDot)
-	r.x, r.y = x, y
-	forkJoin(r, n, chunks)
-	s := 0.0
-	for c := 0; c < chunks; c++ {
-		s += r.part[c]
-	}
-	putRun(r)
-	return s
+	return dotRange(x, y, 0, len(x))
 }
 
-// Norm2 returns the Euclidean norm of x, scaled to avoid overflow for
-// extreme inputs. Large operands reduce in parallel chunks.
+// Norm2 returns the Euclidean norm of x. It runs two passes: the first
+// finds the largest magnitude m, the second sums (v/m)^2, so extreme
+// entries neither overflow nor underflow when squared.
 func Norm2(x []float64) float64 {
-	n := len(x)
-	chunks := kernelChunks(2 * n)
-	if chunks == 1 {
-		maxv, s := norm2Range(x, 0, n)
-		if maxv == 0 {
-			return 0
-		}
-		return maxv * math.Sqrt(s)
-	}
-	r := getRun(opNorm2)
-	r.x = x
-	forkJoin(r, n, chunks)
-	maxv := 0.0
-	for c := 0; c < chunks; c++ {
-		if m := r.part[2*c]; m > maxv {
-			maxv = m
-		}
-	}
+	maxv, s := norm2Range(x, 0, len(x))
 	if maxv == 0 {
-		putRun(r)
 		return 0
 	}
-	s := 0.0
-	for c := 0; c < chunks; c++ {
-		if m := r.part[2*c]; m > 0 {
-			ratio := m / maxv
-			s += r.part[2*c+1] * ratio * ratio
-		}
-	}
-	putRun(r)
 	return maxv * math.Sqrt(s)
 }
 
@@ -247,22 +208,12 @@ func NormInf(x []float64) float64 {
 	return m
 }
 
-// Axpy computes y += alpha*x in place. Large operands update in
-// parallel chunks.
+// Axpy computes y += alpha*x in place.
 func Axpy(alpha float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic(ErrShape)
 	}
-	n := len(x)
-	chunks := kernelChunks(n)
-	if chunks == 1 {
-		axpyRange(alpha, x, y, 0, n)
-		return
-	}
-	r := getRun(opAxpy)
-	r.alpha, r.x, r.y = alpha, x, y
-	forkJoin(r, n, chunks)
-	putRun(r)
+	axpyRange(alpha, x, y, 0, len(x))
 }
 
 // Scale multiplies x by alpha in place.

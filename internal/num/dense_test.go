@@ -155,6 +155,27 @@ func TestNorm2Overflow(t *testing.T) {
 	}
 }
 
+// TestNorm2EdgeCases covers the all-zero vector and extreme magnitudes,
+// where the scaled two-pass form matters: a plain sum of squares would
+// overflow to +Inf or underflow to 0.
+func TestNorm2EdgeCases(t *testing.T) {
+	zero := make([]float64, 1000)
+	if got := Norm2(zero); got != 0 {
+		t.Fatalf("Norm2(zero) = %g", got)
+	}
+	// One huge entry among zeros: no overflow, exact answer.
+	big := make([]float64, 1000)
+	big[777] = 1e300
+	if got := Norm2(big); got != 1e300 {
+		t.Fatalf("Norm2(huge) = %g", got)
+	}
+	// Tiny entries whose squares underflow: still the exact scaled norm.
+	tiny := []float64{3e-300, 4e-300}
+	if got := Norm2(tiny); math.Abs(got-5e-300) > 1e-13*5e-300 {
+		t.Fatalf("Norm2(tiny) = %g, want 5e-300", got)
+	}
+}
+
 func TestNorm2TriangleInequality(t *testing.T) {
 	f := func(a, b [4]float64) bool {
 		for _, v := range append(a[:], b[:]...) {

@@ -218,9 +218,7 @@ func (m *Multigrid) vcycle(l int) {
 	smooth(lev, 1)
 }
 
-// smooth runs damped-Jacobi sweeps x += omega * D^{-1} (b - A x). The
-// SpMV rides the kernel pool; the pointwise update is cheap enough
-// serial.
+// smooth runs damped-Jacobi sweeps x += omega * D^{-1} (b - A x).
 func smooth(lev *mgLevel, sweeps int) {
 	for s := 0; s < sweeps; s++ {
 		lev.a.MulVec(lev.x, lev.res)

@@ -28,8 +28,7 @@ import "math"
 //     logic already relies on).
 //
 //   - Zero allocation on the multiply path. The accumulators are
-//     registers; the parallel fork reuses the kernel pool's pooled
-//     descriptors. All allocation happens in the constructors, which
+//     registers. All allocation happens in the constructors, which
 //     run once at solver/hierarchy setup (escape-check pins this).
 //
 // A SELLCS is a snapshot of its source CSR: later mutation of the
@@ -40,9 +39,7 @@ const (
 	// padded column-major slice, and the width of the kernel's stack
 	// accumulator. 32 rows keep the accumulator (256 B) comfortably in
 	// registers/L1 while giving the inner loop enough independent sums
-	// to hide the x-gather latency; slices stay far smaller than the
-	// kernel pool's row tiles (blockRowTile), so the pool's chunking
-	// aligns to whole slices without load imbalance.
+	// to hide the x-gather latency.
 	SellC = 32
 	// sellSigma is the row-sorting window: rows are sorted by
 	// descending length only within σ = 8·C consecutive rows. A full
@@ -172,26 +169,13 @@ func (m *SELLCS) PaddingRatio() float64 {
 func (m *SELLCS) numSlices() int { return (m.Rows + SellC - 1) / SellC }
 
 // MulVec computes y = m*x, bitwise identical to the source CSR's
-// serial MulVec. Large matrices fork across the kernel pool on whole
-// slices.
+// row-loop MulVec.
 func (m *SELLCS) MulVec(x, y []float64) {
 	if len(x) != m.Cols || len(y) != m.Rows {
 		panic(ErrShape)
 	}
 	spmvRowsTraversed.Add(uint64(m.Rows))
-	ns := m.numSlices()
-	chunks := kernelChunks(2 * m.nnz)
-	if chunks > ns {
-		chunks = ns
-	}
-	if chunks <= 1 {
-		sellMulVecRange(m, x, y, 0, ns)
-		return
-	}
-	r := getRun(opMulVecSell)
-	r.sell, r.x, r.y = m, x, y
-	forkJoin(r, ns, chunks)
-	putRun(r)
+	sellMulVecRange(m, x, y, 0, m.numSlices())
 }
 
 // sellMulVecRange multiplies the slices [sLo, sHi). Rows are walked in

@@ -93,17 +93,10 @@ func TestSELLStructure(t *testing.T) {
 	}
 }
 
-// TestSELLParallelMatchesSerial forces the kernel-pool fork on a small
-// matrix (shrunk thresholds) and checks the result is still bitwise the
-// serial one — slices are independent, so the split cannot change bits.
+// TestSELLParallelMatchesSerial pins slice independence: the product
+// assembled from disjoint slice ranges, as a slice-parallel split would
+// compute it, is bitwise the whole-range MulVec.
 func TestSELLParallelMatchesSerial(t *testing.T) {
-	minWork, chunkWork := parallelMinWork, parallelChunkWork
-	parallelMinWork, parallelChunkWork = 1, 1
-	SetKernelThreads(4)
-	t.Cleanup(func() {
-		parallelMinWork, parallelChunkWork = minWork, chunkWork
-		SetKernelThreads(0)
-	})
 	rng := rand.New(rand.NewSource(11))
 	a := skewedCSR(rng, 513, 513)
 	s := NewSELLCS(a)
@@ -112,12 +105,16 @@ func TestSELLParallelMatchesSerial(t *testing.T) {
 		x[i] = rng.NormFloat64()
 	}
 	want := make([]float64, a.Rows)
-	sellMulVecRange(s, x, want, 0, s.numSlices())
-	got := make([]float64, a.Rows)
-	s.MulVec(x, got)
-	for i := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("row %d: parallel %v != serial %v", i, got[i], want[i])
+	s.MulVec(x, want)
+	ns := s.numSlices()
+	for _, split := range []int{1, ns / 3, ns - 1} {
+		got := make([]float64, a.Rows)
+		sellMulVecRange(s, x, got, 0, split)
+		sellMulVecRange(s, x, got, split, ns)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("split %d, row %d: %v != %v", split, i, got[i], want[i])
+			}
 		}
 	}
 }

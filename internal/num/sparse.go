@@ -100,9 +100,9 @@ func (m *CSR) Layout() string {
 	return "csr"
 }
 
-// MulVec computes y = m*x. Large matrices are row-partitioned across
-// the kernel pool (see SetKernelThreads); the per-row sums are
-// identical to the serial loop either way.
+// MulVec computes y = m*x, each row summed in ascending column order.
+// With a SELL-C-σ mirror attached the product runs on it, bitwise
+// identical.
 func (m *CSR) MulVec(x, y []float64) {
 	if s := m.sell.Load(); s != nil {
 		s.MulVec(x, y) // counts its own traversed rows
@@ -112,16 +112,7 @@ func (m *CSR) MulVec(x, y []float64) {
 		panic(ErrShape)
 	}
 	spmvRowsTraversed.Add(uint64(m.Rows))
-	// SpMV does ~2 flops per stored entry; gate the fork on nnz.
-	chunks := kernelChunks(2 * m.NNZ())
-	if chunks == 1 {
-		mulVecRange(m, x, y, 0, m.Rows)
-		return
-	}
-	r := getRun(opMulVec)
-	r.a, r.x, r.y = m, x, y
-	forkJoin(r, m.Rows, chunks)
-	putRun(r)
+	mulVecRange(m, x, y, 0, m.Rows)
 }
 
 // Diag extracts the matrix diagonal into a fresh slice. Missing diagonal

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"bright/internal/core"
-	"bright/internal/num"
 	"bright/internal/obs"
 )
 
@@ -63,14 +62,6 @@ type Options struct {
 	// CacheSize bounds the memoization LRU in entries (default 256;
 	// negative disables caching).
 	CacheSize int
-	// KernelThreads caps the goroutines the numeric kernels (SpMV, dot,
-	// axpy) fork per operation; 0 keeps the current process-wide setting
-	// (which defaults to GOMAXPROCS). The setting is process-wide — the
-	// kernels are shared by every solver in the process — so the last
-	// engine created wins. Deployments running one engine per process
-	// (brightd) set it from the BRIGHT_NUM_THREADS environment or the
-	// -kernel-threads flag.
-	KernelThreads int
 	// Solver overrides the production solver (tests, benchmarks).
 	Solver Solver
 	// BatchChain builds a fresh stateful solver for one sweep segment —
@@ -166,9 +157,6 @@ type Engine struct {
 // New builds and starts an engine: the worker pool is running on return.
 func New(opts Options) *Engine {
 	opts = opts.withDefaults()
-	if opts.KernelThreads > 0 {
-		num.SetKernelThreads(opts.KernelThreads)
-	}
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -365,7 +353,6 @@ func (e *Engine) Stats() Stats {
 		SweepPointsCold:     e.m.sweepPointsCold.Value(),
 		SweepPrefetches:     e.m.sweepPrefetches.Value(),
 		SweepPrefetchErrors: e.m.sweepPrefetchErrors.Value(),
-		KernelThreads:       num.KernelThreads(),
 	}
 }
 

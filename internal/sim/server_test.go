@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -15,6 +16,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"bright/internal/cosim"
 )
 
 func newTestServer(t *testing.T, opts Options) (*Engine, *httptest.Server) {
@@ -190,6 +193,46 @@ func TestHTTPSweepSurvivesSubmitterDisconnect(t *testing.T) {
 	}
 }
 
+// TestHTTPSolverErrorStatus maps solver failures to statuses: a
+// co-simulation that did not converge (wrapped as core wraps it) is 422
+// and not retryable, not a 400 client error and not a 5xx the
+// coordinator would fail over; other solver errors stay 400 and a
+// timeout stays 504. No failure is cached: a repeat solves again.
+func TestHTTPSolverErrorStatus(t *testing.T) {
+	cases := []struct {
+		name string
+		err  error
+		want int
+	}{
+		{"no-convergence", fmt.Errorf("core: co-simulation: %w",
+			fmt.Errorf("%w after 30 iterations", cosim.ErrNoConvergence)), http.StatusUnprocessableEntity},
+		{"solver-error", errors.New("flowcell: operating point beyond limit"), http.StatusBadRequest},
+		{"timeout", context.DeadlineExceeded, http.StatusGatewayTimeout},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s := &countingSolver{err: c.err}
+			_, srv := newTestServer(t, Options{Workers: 1, Solver: s.solve})
+			for k := 1; k <= 2; k++ {
+				resp, body := postJSON(t, srv.URL+"/v1/evaluate", `{}`)
+				if resp.StatusCode != c.want {
+					t.Fatalf("status %d, want %d: %s", resp.StatusCode, c.want, body)
+				}
+				var e errorBody
+				if err := json.Unmarshal(body, &e); err != nil {
+					t.Fatal(err)
+				}
+				if e.Retryable || e.Error == "" {
+					t.Fatalf("error body %+v, want a non-retryable message", e)
+				}
+				if got := s.calls.Load(); got != int64(k) {
+					t.Fatalf("%d solver calls after %d requests: a failure was cached", got, k)
+				}
+			}
+		})
+	}
+}
+
 func TestHTTPUnknownJob(t *testing.T) {
 	_, srv := newTestServer(t, Options{Workers: 1, Solver: (&countingSolver{}).solve})
 	resp := getJSON(t, srv.URL+"/v1/jobs/job-424242", nil)
@@ -200,7 +243,7 @@ func TestHTTPUnknownJob(t *testing.T) {
 
 func TestHTTPQueueFullIs503(t *testing.T) {
 	s := &countingSolver{block: make(chan struct{})}
-	_, srv := newTestServer(t, Options{Workers: 1, QueueDepth: 1, Solver: s.solve})
+	e, srv := newTestServer(t, Options{Workers: 1, QueueDepth: 1, Solver: s.solve})
 	defer close(s.block)
 
 	// Saturate: 1 running + 1 queued (distinct configs so no dedup).
@@ -214,8 +257,10 @@ func TestHTTPQueueFullIs503(t *testing.T) {
 			}
 		}()
 	}
+	// Wait for both: a probe sent while the queue is still empty would
+	// be queued behind the blocked solve and never answered.
 	deadline := time.Now().Add(2 * time.Second)
-	for s.calls.Load() < 1 {
+	for s.calls.Load() < 1 || e.Stats().QueueDepth < 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("server never saturated")
 		}

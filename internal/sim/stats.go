@@ -79,10 +79,6 @@ type Stats struct {
 	// the sequential walk.
 	SweepPrefetches     uint64 `json:"sweep_prefetches"`
 	SweepPrefetchErrors uint64 `json:"sweep_prefetch_errors"`
-
-	// KernelThreads is the resolved process-wide goroutine cap of the
-	// numeric kernels (SpMV, dot, axpy) behind every solve.
-	KernelThreads int `json:"kernel_threads"`
 }
 
 // metrics holds the engine's mutable counters, backed by obs
