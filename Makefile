@@ -75,12 +75,15 @@ test-short:
 # accepts one -fuzz per invocation). FuzzCanonicalKey/FuzzChainKey pin
 # the cache-key quantization contract; FuzzCacheSnapshotRestore throws
 # arbitrary JSON at the snapshot-restore path brightd exposes over PUT
-# /v1/cache/snapshot. Longer runs: bump FUZZTIME.
+# /v1/cache/snapshot; FuzzSweepChains pins the sweep chain partition
+# (the chains' grids concatenate to exactly Grid()). Longer runs: bump
+# FUZZTIME.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzCanonicalKey -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzChainKey -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzCacheSnapshotRestore -fuzztime $(FUZZTIME) ./internal/sim
+	$(GO) test -run xxx -fuzz FuzzSweepChains -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzSELLRoundTrip -fuzztime $(FUZZTIME) ./internal/num
 
 # Full benchmark sweep over the numeric kernels, the thermal solver,

@@ -42,45 +42,15 @@ func (ch *chainAssign) place(addr, jobID string) {
 	ch.lost = ""
 }
 
-// partitionSweep splits a validated spec into its chains, mirroring the
-// row-major nesting of sim.SweepSpec.Grid (flow outermost, load
-// innermost): each (flow, inlet) pair is one chain carrying the full
-// voltage x load sub-grid.
-func partitionSweep(spec sim.SweepSpec) []*chainAssign {
-	base := core.DefaultConfig()
-	if spec.Base != nil {
-		base = *spec.Base
-	}
-	axis := func(vals []float64, fallback float64) []float64 {
-		if len(vals) == 0 {
-			return []float64{fallback}
-		}
-		return vals
-	}
-	flows := axis(spec.FlowsMLMin, base.FlowMLMin)
-	inlets := axis(spec.InletTempsC, base.InletTempC)
-	chainLen := len(axis(spec.SupplyVoltages, base.SupplyVoltage)) * len(axis(spec.ChipLoads, base.ChipLoad))
-
-	chains := make([]*chainAssign, 0, len(flows)*len(inlets))
-	start := 0
-	for _, f := range flows {
-		for _, t := range inlets {
-			cfg := base
-			cfg.FlowMLMin, cfg.InletTempC = f, t
-			chains = append(chains, &chainAssign{
-				key: cfg.ChainKey(),
-				spec: sim.SweepSpec{
-					Base:           spec.Base,
-					FlowsMLMin:     []float64{f},
-					InletTempsC:    []float64{t},
-					SupplyVoltages: spec.SupplyVoltages,
-					ChipLoads:      spec.ChipLoads,
-				},
-				start: start,
-				count: chainLen,
-			})
-			start += chainLen
-		}
+// partitionSweep places a validated spec's chains (sim.SweepSpec.Chains)
+// on the global grid: chain c covers grid[start:start+count], and its
+// first point's ChainKey routes it on the ring.
+func partitionSweep(spec sim.SweepSpec, grid []core.Config) []*chainAssign {
+	subs := spec.Chains()
+	per := len(grid) / len(subs)
+	chains := make([]*chainAssign, len(subs))
+	for c, sub := range subs {
+		chains[c] = &chainAssign{key: grid[c*per].ChainKey(), spec: sub, start: c * per, count: per}
 	}
 	return chains
 }
@@ -188,7 +158,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, r, http.StatusBadRequest, err)
 		return
 	}
-	job := &clusterJob{total: len(grid), started: time.Now(), chains: partitionSweep(spec)}
+	job := &clusterJob{total: len(grid), started: time.Now(), chains: partitionSweep(spec, grid)}
 	for _, ch := range job.chains {
 		addr, jobID, err := c.submitChain(r.Context(), ch)
 		if err != nil {

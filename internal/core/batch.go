@@ -29,7 +29,7 @@ func NewBatch() *Batch { return &Batch{} }
 // point must be a valid Config and ctx must still be live. It does no
 // solver work — the grid stage is answered by the process-wide
 // response and the thermal stage by the runner's — and survives as the
-// chain hook sim.Options.BatchChain hands each segment's point list to.
+// chain hook sim.Options.BatchChain hands each chain's point list to.
 func (b *Batch) PrefetchChain(ctx context.Context, cfgs []Config) error {
 	for _, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {

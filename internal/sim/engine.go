@@ -64,36 +64,24 @@ type Options struct {
 	CacheSize int
 	// Solver overrides the production solver (tests, benchmarks).
 	Solver Solver
-	// BatchChain builds a fresh stateful solver for one sweep segment —
-	// a run of grid-adjacent points sharing the hydrodynamic condition,
-	// executed sequentially so each point reuses its neighbor's thermal
-	// operator and converged state — plus a ChainPrefetch that
-	// SubmitSweep hands the segment's full point list before the
-	// sequential walk begins. A nil prefetch is valid. Prefetch errors
-	// are counted and otherwise ignored — every point still solves
-	// correctly. The default wraps core.NewBatch (one thermal runner per
-	// condition, whose unit responses are solved once per segment); when
-	// Solver is overridden and BatchChain is not, segments reuse the
-	// overridden Solver (stateless, no warm carry).
+	// BatchChain builds a fresh stateful solver for one sweep chain —
+	// the grid points sharing one hydrodynamic condition, executed
+	// sequentially so each point reuses its neighbor's thermal operator
+	// and converged state — plus a ChainPrefetch that SubmitSweep hands
+	// the chain's full point list before the sequential walk begins. A
+	// nil prefetch is valid. Prefetch errors are counted and otherwise
+	// ignored — every point still solves correctly. The default wraps
+	// core.NewBatch (one thermal runner per condition, whose unit
+	// responses are solved once per chain); when Solver is overridden
+	// and BatchChain is not, chains reuse the overridden Solver
+	// (stateless, no warm carry).
 	BatchChain func() (Solver, ChainPrefetch)
 	// Metrics is the registry the engine publishes its serving metrics
 	// into; nil gives the engine a private registry (reachable via
 	// Engine.Metrics). One engine per registry: the gauge callbacks are
 	// bound to the engine that registered first.
 	Metrics *obs.Registry
-
-	// segment overrides the sweep segment bound (maxSegmentPoints) for
-	// in-package tests: positive splits chains at that bound, negative
-	// disables splitting.
-	segment int
 }
-
-// maxSegmentPoints bounds the points one stealable sweep segment carries:
-// chains longer than the bound split (preferentially at supply-voltage
-// boundaries) so a skewed grid cannot serialize a sweep behind one
-// goroutine. The bound trades steal granularity against warm-start
-// carry — each segment's first point re-warms its solver stack cold.
-const maxSegmentPoints = 16
 
 func (o Options) withDefaults() Options {
 	if o.Workers <= 0 {
@@ -104,9 +92,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.CacheSize == 0 {
 		o.CacheSize = 256
-	}
-	if o.segment == 0 {
-		o.segment = maxSegmentPoints
 	}
 	if o.Solver == nil {
 		o.Solver = DefaultSolver
@@ -228,9 +213,9 @@ func (e *Engine) Evaluate(ctx context.Context, cfg core.Config) (*core.Report, e
 }
 
 // evaluate is the one cache + single-flight lookup behind Evaluate and
-// the sweep segments. The flight leader hands its task to lead, which
+// the sweep chains. The flight leader hands its task to lead, which
 // either enqueues it to the worker pool (Evaluate) or solves it inline on
-// a sweep segment's stateful solver, so consecutive points reuse one warm
+// a sweep chain's stateful solver, so consecutive points reuse one warm
 // solver stack. Either way the task's solve completes the flight, and
 // the leader then waits on it like any follower. solved reports whether
 // this call led a solve (no cache hit), which is what the warm/cold
@@ -347,8 +332,7 @@ func (e *Engine) Stats() Stats {
 		JobsActive:          active,
 		JobsDone:            done,
 		SweepChains:         e.m.sweepChains.Value(),
-		SweepSegments:       e.m.sweepSegments.Value(),
-		SweepSteals:         e.m.sweepSteals.Value(),
+		SweepSegments:       e.m.sweepChains.Value(),
 		SweepPointsWarm:     e.m.sweepPointsWarm.Value(),
 		SweepPointsCold:     e.m.sweepPointsCold.Value(),
 		SweepPrefetches:     e.m.sweepPrefetches.Value(),

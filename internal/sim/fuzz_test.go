@@ -77,3 +77,70 @@ func FuzzCacheSnapshotRestore(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSweepChains pins the chain partition both the engine and the
+// cluster coordinator schedule by: for any spec Grid() accepts, the
+// chains' grids, concatenated, are exactly Grid() in order; every point
+// of a chain shares its flow and inlet temperature; and each chain
+// carries the full voltage x load sub-grid. counts packs one byte per
+// axis (flow, inlet, voltage, load); each byte mod 6 is that axis's
+// length, 0 leaving the axis empty so it falls back to the base.
+func FuzzSweepChains(f *testing.F) {
+	f.Add(uint32(0x01010101), 676.0, 0.0, 27.0, 0.0, 1.0, 0.0, 1.0, 0.0, false)
+	f.Add(uint32(0x02020202), 100.0, 576.0, 27.0, 20.0, 0.9, 0.1, 0.5, 0.5, false)
+	f.Add(uint32(0x00000011), 48.0, 10.0, 37.0, 5.0, 0.8, 0.025, 0.25, 0.05, true)
+	f.Add(uint32(0x05000300), 300.0, 0.0, 27.0, 0.0, 1.0, 0.05, 1.0, 0.0, false)
+	f.Add(uint32(0x03030303), -5.0, 1.0, 95.0, -1.0, 1.0, 0.0, 1.0, 0.0, true)
+
+	f.Fuzz(func(t *testing.T, counts uint32, flow0, dFlow, inlet0, dInlet, volt0, dVolt, load0, dLoad float64, customBase bool) {
+		axis := func(k int, start, step float64) []float64 {
+			vals := make([]float64, int(counts>>(8*k)&0xff)%6)
+			for i := range vals {
+				vals[i] = start + float64(i)*step
+			}
+			return vals
+		}
+		spec := SweepSpec{
+			FlowsMLMin:     axis(0, flow0, dFlow),
+			InletTempsC:    axis(1, inlet0, dInlet),
+			SupplyVoltages: axis(2, volt0, dVolt),
+			ChipLoads:      axis(3, load0, dLoad),
+		}
+		if customBase {
+			base := core.DefaultConfig()
+			base.FlowMLMin, base.InletTempC, base.SupplyVoltage, base.ChipLoad = flow0, inlet0, volt0, load0
+			spec.Base = &base
+		}
+		grid, err := spec.Grid()
+		if err != nil {
+			return // Chains is only defined on specs Grid() accepts
+		}
+		chainLen := max(len(spec.SupplyVoltages), 1) * max(len(spec.ChipLoads), 1)
+
+		next := 0
+		for c, chain := range spec.Chains() {
+			pts, err := chain.Grid()
+			if err != nil {
+				t.Fatalf("chain %d of an accepted spec fails to expand: %v", c, err)
+			}
+			if len(pts) != chainLen {
+				t.Fatalf("chain %d has %d points, want len(volts)*len(loads) = %d", c, len(pts), chainLen)
+			}
+			for _, cfg := range pts {
+				if next >= len(grid) {
+					t.Fatalf("chains cover more than the %d grid points", len(grid))
+				}
+				if cfg != grid[next] {
+					t.Fatalf("chain %d: point %+v, want grid[%d] = %+v", c, cfg, next, grid[next])
+				}
+				if cfg.FlowMLMin != pts[0].FlowMLMin || cfg.InletTempC != pts[0].InletTempC {
+					t.Fatalf("chain %d mixes hydrodynamic conditions: %+v vs %+v", c, cfg, pts[0])
+				}
+				next++
+			}
+		}
+		if next != len(grid) {
+			t.Fatalf("chains cover %d points, want all %d", next, len(grid))
+		}
+	})
+}

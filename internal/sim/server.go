@@ -14,6 +14,7 @@ import (
 
 	"bright/internal/core"
 	"bright/internal/cosim"
+	"bright/internal/num"
 	"bright/internal/obs"
 	"bright/internal/stream"
 	"bright/internal/units"
@@ -144,8 +145,9 @@ func writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 }
 
 // statusFor maps engine errors to HTTP statuses: backpressure and
-// shutdown are 503, cancellation/timeout is 504, a co-simulation that
-// did not converge is 422, validation and everything else is 400.
+// shutdown are 503, cancellation/timeout is 504, a co-simulation or a
+// Krylov solve (num.ErrNoConvergence, which includes num.ErrMaxIter)
+// that did not converge is 422, validation and everything else is 400.
 // Non-convergence is not 5xx: the coordinator fails over 5xx answers,
 // and a deterministic solve fails the same way on every shard.
 func statusFor(err error) int {
@@ -154,7 +156,7 @@ func statusFor(err error) int {
 		return http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		return http.StatusGatewayTimeout
-	case errors.Is(err, cosim.ErrNoConvergence):
+	case errors.Is(err, cosim.ErrNoConvergence), errors.Is(err, num.ErrNoConvergence):
 		return http.StatusUnprocessableEntity
 	default:
 		return http.StatusBadRequest

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"bright/internal/cosim"
+	"bright/internal/num"
 )
 
 func newTestServer(t *testing.T, opts Options) (*Engine, *httptest.Server) {
@@ -194,9 +195,10 @@ func TestHTTPSweepSurvivesSubmitterDisconnect(t *testing.T) {
 }
 
 // TestHTTPSolverErrorStatus maps solver failures to statuses: a
-// co-simulation that did not converge (wrapped as core wraps it) is 422
-// and not retryable, not a 400 client error and not a 5xx the
-// coordinator would fail over; other solver errors stay 400 and a
+// co-simulation that did not converge (wrapped as core wraps it), or a
+// Krylov solve that ran out of iterations (wrapped as thermal wraps
+// it), is 422 and not retryable, not a 400 client error and not a 5xx
+// the coordinator would fail over; other solver errors stay 400 and a
 // timeout stays 504. No failure is cached: a repeat solves again.
 func TestHTTPSolverErrorStatus(t *testing.T) {
 	cases := []struct {
@@ -206,6 +208,8 @@ func TestHTTPSolverErrorStatus(t *testing.T) {
 	}{
 		{"no-convergence", fmt.Errorf("core: co-simulation: %w",
 			fmt.Errorf("%w after 30 iterations", cosim.ErrNoConvergence)), http.StatusUnprocessableEntity},
+		{"krylov-max-iter", fmt.Errorf("thermal: steady solve failed: %w",
+			fmt.Errorf("%w: CG after 4000 iters, residual 1.2e-05", num.ErrMaxIter)), http.StatusUnprocessableEntity},
 		{"solver-error", errors.New("flowcell: operating point beyond limit"), http.StatusBadRequest},
 		{"timeout", context.DeadlineExceeded, http.StatusGatewayTimeout},
 	}

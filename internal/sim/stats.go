@@ -63,16 +63,14 @@ type Stats struct {
 	SweepPointsWarm uint64 `json:"sweep_points_warm"`
 	SweepPointsCold uint64 `json:"sweep_points_cold"`
 
-	// Skew-aware segment scheduling: chains longer than the segment
-	// bound (16 points) split into bounded segments dealt across the
-	// sweep workers; an idle worker steals queued segments from the
-	// most-loaded peer. Segments counts every segment executed (a chain
-	// at or under the bound is one segment); Steals counts the subset a
-	// worker took from another worker's queue.
+	// Retired sweep-scheduling fields, kept only because the benchmark
+	// harness still reads them: a chain is never split, so Segments
+	// mirrors Chains and Steals always reads 0. Both go with the
+	// benchmark's next revision (ROADMAP item 1).
 	SweepSegments uint64 `json:"sweep_segments"`
 	SweepSteals   uint64 `json:"sweep_steals"`
 
-	// Sweep chain prefetches: multi-point segments handed to the chain
+	// Sweep chain prefetches: multi-point chains handed to the chain
 	// solver's prefetch before the walk, by outcome (the default
 	// core.Batch prefetch only checks the points and the context). A
 	// failed prefetch costs nothing — the chain's points still solve in
@@ -93,8 +91,6 @@ type metrics struct {
 	queueRejected       *obs.Counter
 	solveLatency        *obs.Histogram
 	sweepChains         *obs.Counter
-	sweepSegments       *obs.Counter
-	sweepSteals         *obs.Counter
 	sweepPointsWarm     *obs.Counter
 	sweepPointsCold     *obs.Counter
 	sweepPrefetches     *obs.Counter
@@ -117,10 +113,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Wall-clock latency of one solver invocation.", obs.DefLatencyBuckets),
 		sweepChains: reg.Counter("bright_sweep_chains_total",
 			"Sweep warm-start chains executed (runs of points sharing a hydrodynamic condition)."),
-		sweepSegments: reg.Counter("bright_sweep_segments_total",
-			"Sweep segments executed (bounded slices of a chain; the unit of work stealing)."),
-		sweepSteals: reg.Counter("bright_sweep_steals_total",
-			"Sweep segments an idle worker stole from another worker's queue."),
 		sweepPointsWarm: reg.Counter("bright_sweep_points_total",
 			"Sweep points solved inside a chain, by warm-start state.", obs.L("warm", "true")),
 		sweepPointsCold: reg.Counter("bright_sweep_points_total",

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bright/internal/core"
@@ -28,10 +29,10 @@ type SweepSpec struct {
 	ChipLoads      []float64 `json:"chip_loads,omitempty"`
 }
 
-// Grid expands the spec into the full list of configurations, in
-// row-major axis order (flow outermost, load innermost).
-func (s SweepSpec) Grid() ([]core.Config, error) {
-	base := core.DefaultConfig()
+// axes resolves the spec's base configuration and its four axes, an
+// empty axis falling back to the base's value.
+func (s SweepSpec) axes() (base core.Config, flows, inlets, volts, loads []float64) {
+	base = core.DefaultConfig()
 	if s.Base != nil {
 		base = *s.Base
 	}
@@ -41,11 +42,17 @@ func (s SweepSpec) Grid() ([]core.Config, error) {
 		}
 		return vals
 	}
-	flows := axis(s.FlowsMLMin, base.FlowMLMin)
-	inlets := axis(s.InletTempsC, base.InletTempC)
-	volts := axis(s.SupplyVoltages, base.SupplyVoltage)
-	loads := axis(s.ChipLoads, base.ChipLoad)
+	return base,
+		axis(s.FlowsMLMin, base.FlowMLMin),
+		axis(s.InletTempsC, base.InletTempC),
+		axis(s.SupplyVoltages, base.SupplyVoltage),
+		axis(s.ChipLoads, base.ChipLoad)
+}
 
+// Grid expands the spec into the full list of configurations, in
+// row-major axis order (flow outermost, load innermost).
+func (s SweepSpec) Grid() ([]core.Config, error) {
+	base, flows, inlets, volts, loads := s.axes()
 	n := len(flows) * len(inlets) * len(volts) * len(loads)
 	if n == 0 {
 		return nil, fmt.Errorf("sim: empty sweep grid")
@@ -69,6 +76,27 @@ func (s SweepSpec) Grid() ([]core.Config, error) {
 		}
 	}
 	return grid, nil
+}
+
+// Chains splits the spec into its warm-start chains: one sub-spec per
+// (flow, inlet) pair, in Grid() order, each carrying the full voltage x
+// load sub-grid. Every point of a chain shares the hydrodynamic
+// condition, and therefore the thermal system matrix, so a chain runs
+// sequentially on one solver stack with neighbor warm starts; the
+// chains' grids, concatenated, are exactly Grid(). The engine runs each
+// chain whole on one worker and the cluster coordinator places each
+// chain whole on one shard.
+func (s SweepSpec) Chains() []SweepSpec {
+	_, flows, inlets, _, _ := s.axes()
+	chains := make([]SweepSpec, 0, len(flows)*len(inlets))
+	for _, f := range flows {
+		for _, t := range inlets {
+			c := s
+			c.FlowsMLMin, c.InletTempsC = []float64{f}, []float64{t}
+			chains = append(chains, c)
+		}
+	}
+	return chains
 }
 
 // JobState is the lifecycle of a sweep job.
@@ -209,52 +237,20 @@ func (r *jobRegistry) counts() (active, done int) {
 	return active, done
 }
 
-// gridPoint is one sweep point with its grid position.
-type gridPoint struct {
-	idx int
-	cfg core.Config
-}
-
-// chainGrid splits a row-major sweep grid into chains: maximal runs of
-// consecutive points sharing a hydrodynamic condition (ChainKey, i.e.
-// FlowMLMin and InletTempC up to solver tolerance). Because Grid()
-// nests flow outermost and load innermost, points sharing the
-// hydrodynamic condition — and therefore the thermal system matrix —
-// are always contiguous, so each chain can run sequentially on one
-// cached solver stack with neighbor warm starts. The cluster coordinator
-// partitions on the same key so a chain never splits across shards.
-func chainGrid(grid []core.Config) [][]gridPoint {
-	var chains [][]gridPoint
-	prevKey := ""
-	for i, cfg := range grid {
-		key := cfg.ChainKey()
-		if i == 0 || key != prevKey {
-			chains = append(chains, nil)
-		}
-		prevKey = key
-		chains[len(chains)-1] = append(chains[len(chains)-1], gridPoint{idx: i, cfg: cfg})
-	}
-	return chains
-}
-
-// SubmitSweep expands the spec into warm-start chains (runs of
-// grid-adjacent points sharing the hydrodynamic condition), splits long
-// chains into bounded segments (maxSegmentPoints), and executes the
-// segment plan on a work-stealing pool of up to Options.Workers
-// goroutines, returning immediately with a pollable Job. Each segment
-// runs sequentially on its own stateful solver from Options.BatchChain:
-// every point after the segment's first warm-starts from its neighbor's
-// converged thermal and PDN state, so batched sweeps amortize assembly,
-// preconditioner setup and most Krylov iterations, while a skewed grid
-// (one long chain among short ones) no longer serializes behind a
-// single goroutine — idle workers steal queued segments from loaded
-// ones. The segment plan depends only on the grid and the bound, never
-// on worker count or timing, so per-point outputs are bitwise identical
-// across worker counts and steal schedules; only completion order
-// varies. Points still flow through the cache/single-flight path, so a
-// sweep revisiting known configurations is mostly cache hits. Segment
-// solves run inline on the sweep workers, not on the queue; the job
-// runs until done or until ctx (or Job.Cancel) cancels it.
+// SubmitSweep expands the spec into its warm-start chains (Chains) and
+// runs them on up to Options.Workers goroutines, returning immediately
+// with a pollable Job. The workers pull whole chains in grid order from
+// one shared cursor; a chain is never split. Each chain runs
+// sequentially on its own stateful solver from Options.BatchChain: its
+// first point pays the cold solver-stack build and every later point
+// warm-starts from its neighbor's converged state, so a chain costs
+// about one build whatever its length. A chain's numeric path depends
+// only on its own points, so per-point outputs are bitwise identical
+// across worker counts; only completion order varies. Points still flow
+// through the cache/single-flight path, so a sweep revisiting known
+// configurations is mostly cache hits. Chain solves run inline on the
+// sweep workers, not on the queue; the job runs until done or until ctx
+// (or Job.Cancel) cancels it.
 func (e *Engine) SubmitSweep(ctx context.Context, spec SweepSpec) (*Job, error) {
 	e.closeMu.RLock()
 	closed := e.closed
@@ -275,38 +271,31 @@ func (e *Engine) SubmitSweep(ctx context.Context, spec SweepSpec) (*Job, error) 
 	}
 	e.jobs.add(j)
 
-	chains := chainGrid(grid)
+	chains := len(spec.Chains())
+	per := len(grid) / chains // every chain has len(volts)*len(loads) points
 	// Chains are counted at plan time; a job canceled mid-flight still
 	// reports the chains it planned, matching Total's planned points.
-	e.m.sweepChains.Add(uint64(len(chains)))
-	segs := planSegments(chains, e.opts.segment)
-	workers := e.opts.Workers
-	if workers > len(segs) {
-		workers = len(segs)
-	}
-	sched := newSegmentScheduler(segs, workers)
+	e.m.sweepChains.Add(uint64(chains))
+	workers := min(e.opts.Workers, chains)
+	var cursor atomic.Int64
 
 	e.sweepWG.Add(1)
 	go func() {
 		defer e.sweepWG.Done()
 		defer cancel()
 		var wg sync.WaitGroup
+		wg.Add(workers)
 		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
+			go func() {
 				defer wg.Done()
 				for jobCtx.Err() == nil {
-					seg, stolen := sched.next(w)
-					if seg == nil {
+					c := int(cursor.Add(1)) - 1
+					if c >= chains {
 						return
 					}
-					if stolen {
-						e.m.sweepSteals.Inc()
-					}
-					e.m.sweepSegments.Inc()
-					e.runSegment(jobCtx, j, seg.pts)
+					e.runChain(jobCtx, j, c*per, grid[c*per:(c+1)*per:(c+1)*per])
 				}
-			}(w)
+			}()
 		}
 		wg.Wait()
 		j.finish(jobCtx.Err())
@@ -314,22 +303,18 @@ func (e *Engine) SubmitSweep(ctx context.Context, spec SweepSpec) (*Job, error) 
 	return j, nil
 }
 
-// runSegment walks one segment sequentially on a fresh chain solver:
-// prefetch the segment's points, then solve them in grid order with
-// neighbor warm starts. A segment's first solved point is cold (it pays
-// the solver-stack setup, exactly like a chain head before
-// segmentation), the rest are warm.
-func (e *Engine) runSegment(jobCtx context.Context, j *Job, pts []gridPoint) {
+// runChain walks one chain sequentially on a fresh chain solver:
+// prefetch the chain's points, then solve them in grid order with
+// neighbor warm starts. start is the grid index of cfgs[0]. The
+// chain's first solved point is cold (it pays the solver-stack build),
+// the rest are warm.
+func (e *Engine) runChain(jobCtx context.Context, j *Job, start int, cfgs []core.Config) {
 	solver, prefetch := e.opts.BatchChain()
 	inline := func(t *task) error {
 		e.solve(t, solver)
 		return nil
 	}
-	if prefetch != nil && len(pts) > 1 {
-		cfgs := make([]core.Config, len(pts))
-		for i, pt := range pts {
-			cfgs[i] = pt.cfg
-		}
+	if prefetch != nil && len(cfgs) > 1 {
 		if err := prefetch(jobCtx, cfgs); err != nil {
 			// Nothing is lost: every point still solves in the
 			// sequential walk below.
@@ -339,7 +324,7 @@ func (e *Engine) runSegment(jobCtx context.Context, j *Job, pts []gridPoint) {
 		}
 	}
 	solved := 0
-	for _, pt := range pts {
+	for i, cfg := range cfgs {
 		if jobCtx.Err() != nil {
 			return
 		}
@@ -347,11 +332,11 @@ func (e *Engine) runSegment(jobCtx context.Context, j *Job, pts []gridPoint) {
 		engineClosed := e.closed
 		e.closeMu.RUnlock()
 		if engineClosed {
-			j.record(PointResult{Index: pt.idx, Config: pt.cfg, Error: ErrClosed.Error()})
+			j.record(PointResult{Index: start + i, Config: cfg, Error: ErrClosed.Error()})
 			continue
 		}
-		start := time.Now()
-		rep, didSolve, err := e.evaluate(jobCtx, pt.cfg, inline)
+		t0 := time.Now()
+		rep, didSolve, err := e.evaluate(jobCtx, cfg, inline)
 		if didSolve {
 			if solved > 0 {
 				e.m.sweepPointsWarm.Inc()
@@ -361,9 +346,9 @@ func (e *Engine) runSegment(jobCtx context.Context, j *Job, pts []gridPoint) {
 			solved++
 		}
 		pr := PointResult{
-			Index:      pt.idx,
-			Config:     pt.cfg,
-			DurationMS: float64(time.Since(start)) / float64(time.Millisecond),
+			Index:      start + i,
+			Config:     cfg,
+			DurationMS: float64(time.Since(t0)) / float64(time.Millisecond),
 		}
 		if err != nil {
 			pr.Error = err.Error()

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -41,7 +42,7 @@ func TestSweepGridExpansion(t *testing.T) {
 
 // TestSweepGridRowMajorOrder pins the exact expansion order of Grid():
 // flow outermost, then inlet temperature, then supply voltage, with
-// chip load innermost. chainGrid and the batch solver's session reuse
+// chip load innermost. Chains and the batch solver's session reuse
 // both depend on this ordering, so it is a golden test — any change to
 // the nesting must update this table deliberately.
 func TestSweepGridRowMajorOrder(t *testing.T) {
@@ -72,8 +73,9 @@ func TestSweepGridRowMajorOrder(t *testing.T) {
 	}
 }
 
-// TestChainGrid: the 2x2x2x2 grid above must split into 4 chains of 4 —
-// one per (flow, inlet) pair — with contiguous, increasing indices.
+// TestChainGrid: the 2x2x2x2 grid above must split (SweepSpec.Chains)
+// into 4 chains of 4 — one per (flow, inlet) pair, in grid order —
+// whose grids, concatenated, are exactly the full grid.
 func TestChainGrid(t *testing.T) {
 	spec := SweepSpec{
 		FlowsMLMin:     []float64{100, 676},
@@ -85,21 +87,25 @@ func TestChainGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chains := chainGrid(grid)
+	chains := spec.Chains()
 	if len(chains) != 4 {
 		t.Fatalf("got %d chains, want 4 (one per hydrodynamic condition)", len(chains))
 	}
 	next := 0
 	for c, chain := range chains {
-		if len(chain) != 4 {
-			t.Fatalf("chain %d has %d points, want 4", c, len(chain))
+		pts, err := chain.Grid()
+		if err != nil {
+			t.Fatalf("chain %d: %v", c, err)
 		}
-		for _, pt := range chain {
-			if pt.idx != next {
-				t.Fatalf("chain %d: index %d, want %d (chains must cover the grid in order)", c, pt.idx, next)
+		if len(pts) != 4 {
+			t.Fatalf("chain %d has %d points, want 4", c, len(pts))
+		}
+		for _, cfg := range pts {
+			if cfg != grid[next] {
+				t.Fatalf("chain %d: point %+v, want grid[%d] %+v (chains must cover the grid in order)", c, cfg, next, grid[next])
 			}
-			if pt.cfg.FlowMLMin != chain[0].cfg.FlowMLMin || pt.cfg.InletTempC != chain[0].cfg.InletTempC {
-				t.Fatalf("chain %d mixes hydrodynamic conditions: %+v", c, pt.cfg)
+			if cfg.FlowMLMin != pts[0].FlowMLMin || cfg.InletTempC != pts[0].InletTempC {
+				t.Fatalf("chain %d mixes hydrodynamic conditions: %+v", c, cfg)
 			}
 			next++
 		}
@@ -416,6 +422,91 @@ func TestSweepChainPrefetchErrorIsSoft(t *testing.T) {
 	}
 	if st := e.Stats(); st.SweepPrefetchErrors != 1 || st.SweepPrefetches != 0 {
 		t.Fatalf("prefetch counters ok=%d err=%d, want 0/1", st.SweepPrefetches, st.SweepPrefetchErrors)
+	}
+}
+
+// TestSweepChainAccounting pins the warm/cold arithmetic of whole
+// chains: each chain, however long, runs on one fresh chain solver, so
+// it contributes exactly one cold point (its head) and len-1 warm
+// points. Chains of 20 points are longer than any split bound the
+// engine ever had; they must still run unsplit.
+func TestSweepChainAccounting(t *testing.T) {
+	s := &countingSolver{}
+	e := newTestEngine(t, Options{Workers: 3, CacheSize: -1, Solver: s.solve})
+	loads := make([]float64, 20)
+	for i := range loads {
+		loads[i] = 0.25 + 0.05*float64(i)
+	}
+	job, err := e.SubmitSweep(context.Background(), SweepSpec{
+		FlowsMLMin: []float64{100, 200},
+		ChipLoads:  loads,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := waitJob(t, job, 30*time.Second); v.State != JobDone || v.Completed != 40 {
+		t.Fatalf("state=%s completed=%d, want done/40", v.State, v.Completed)
+	}
+	st := e.Stats()
+	if st.SweepChains != 2 || st.SweepSegments != 2 || st.SweepSteals != 0 {
+		t.Fatalf("chains=%d segments=%d steals=%d, want 2/2/0", st.SweepChains, st.SweepSegments, st.SweepSteals)
+	}
+	if st.SweepPointsCold != 2 || st.SweepPointsWarm != 38 {
+		t.Fatalf("cold=%d warm=%d, want exactly 2/38 (one cold head per chain)", st.SweepPointsCold, st.SweepPointsWarm)
+	}
+	if s.calls.Load() != 40 {
+		t.Fatalf("solver ran %d times, want 40 (cache disabled)", s.calls.Load())
+	}
+}
+
+// TestSweepScheduleInvariance is the bitwise contract: a sweep's
+// per-point reports are bit-for-bit identical whether its chains run on
+// one worker (one after the other) or on four (two chains at once).
+// Real co-simulation solves through the production chain solver, cache
+// disabled so every point solves in both runs; reports are compared
+// through their canonical JSON rendering, which preserves float64 bits.
+func TestSweepScheduleInvariance(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full co-simulation sweep in -short mode")
+	}
+	spec := SweepSpec{
+		FlowsMLMin: []float64{480, 676},
+		ChipLoads:  []float64{0.4, 0.55, 0.7, 0.85, 1.0, 1.15},
+	}
+	total := len(spec.FlowsMLMin) * len(spec.ChipLoads)
+	run := func(workers int) map[int]string {
+		e := newTestEngine(t, Options{Workers: workers, CacheSize: -1})
+		job, err := e.SubmitSweep(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := waitJob(t, job, 15*time.Minute)
+		if v.State != JobDone || v.Completed != total {
+			t.Fatalf("workers=%d: state=%s completed=%d, want done/%d", workers, v.State, v.Completed, total)
+		}
+		out := make(map[int]string, len(v.Results))
+		for _, r := range v.Results {
+			if r.Report == nil {
+				t.Fatalf("workers=%d: point %d missing report: %+v", workers, r.Index, r)
+			}
+			buf, err := json.Marshal(r.Report)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[r.Index] = string(buf)
+		}
+		return out
+	}
+
+	seq := run(1)
+	par := run(4)
+	if len(seq) != len(par) {
+		t.Fatalf("result counts differ: %d vs %d", len(seq), len(par))
+	}
+	for idx, want := range seq {
+		if got := par[idx]; got != want {
+			t.Fatalf("point %d differs between 1-worker and 4-worker runs:\n  seq: %s\n  par: %s", idx, want, got)
+		}
 	}
 }
 
