@@ -3,19 +3,22 @@
 # domain-aware analyzers in internal/lint: SI-unit literals, *Context
 # propagation on serving paths, obs registration placement, discarded
 # errors, goroutine lifecycle, lock hygiene, HTTP response lifecycle),
-# the build, the serving tier under the race detector with the
-# leakcheck goroutine-neutrality harness active (`race-all` — the sim
-# engine, streaming sessions and cluster coordinator are heavily
-# concurrent; races and leaked goroutines there are correctness bugs,
-# not style), and the kernel escape guard. `make race` remains the
+# the build, the benchmark module's build and vet (`perfbench-build` —
+# perfbench/ is its own module, so `go build ./...` does not see it,
+# and an API change that breaks what it links would otherwise surface
+# only when the benchmark runs), the serving tier under the race
+# detector with the leakcheck goroutine-neutrality harness active
+# (`race-all` — the sim engine, streaming sessions and cluster
+# coordinator are heavily concurrent; races and leaked goroutines there
+# are correctness bugs, not style), and the kernel escape guard. `make race` remains the
 # full-tree race pass and `make fuzz` the fuzz smoke, both outside the
 # default gate for time.
 
 GO ?= go
 
-.PHONY: check fmt-check build vet lint lint-fix-list test race race-all test-short fuzz bench bench-serving bench-compare escape-check
+.PHONY: check fmt-check build perfbench-build vet lint lint-fix-list test race race-all test-short fuzz bench bench-serving bench-compare escape-check
 
-check: fmt-check vet lint build race-all escape-check
+check: fmt-check vet lint build perfbench-build race-all escape-check
 
 # Formatting gate: any file gofmt would rewrite fails the build.
 fmt-check:
@@ -27,6 +30,12 @@ fmt-check:
 
 build:
 	$(GO) build ./...
+
+# The benchmark module (perfbench/, `replace bright => ../`) builds
+# against this tree; -o /dev/null keeps the binary out of the checkout.
+perfbench-build:
+	$(GO) -C perfbench build -o /dev/null ./...
+	$(GO) -C perfbench vet ./...
 
 vet:
 	$(GO) vet ./...
@@ -73,10 +82,12 @@ test-short:
 
 # Fuzz smoke: a short bounded run of each fuzz target (Go's fuzzer
 # accepts one -fuzz per invocation). FuzzCanonicalKey/FuzzChainKey pin
-# the cache-key quantization contract; FuzzCacheSnapshotRestore throws
+# the cache-key quantization contract (the chain key moves with the
+# flow alone, never with the inlet temperature); FuzzCacheSnapshotRestore throws
 # arbitrary JSON at the snapshot-restore path brightd exposes over PUT
 # /v1/cache/snapshot; FuzzSweepChains pins the sweep chain partition
-# (the chains' grids concatenate to exactly Grid()). Longer runs: bump
+# (one chain per flow; the chains' grids concatenate to exactly
+# Grid()). Longer runs: bump
 # FUZZTIME.
 FUZZTIME ?= 10s
 fuzz:

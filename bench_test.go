@@ -480,7 +480,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 
 // BenchmarkSweepChain17 times the production sweep-chain path on the
 // real operator: one core.Batch walks 17 supply voltages at the nominal
-// hydrodynamic condition, exactly as a sweep chain does. A fresh
+// flow and inlet, exactly as a sweep chain does. A fresh
 // batch per op pays its runner's thermal unit-response solves once, so
 // thermal-krylov-iters/op reports the BiCGSTAB iterations one chain
 // costs.

@@ -18,14 +18,16 @@ import (
 	"bright/internal/sim"
 )
 
+// healthFailures is how many consecutive failed probes mark a backend
+// dead, and how many consecutive failed snapshot pushes readmit a
+// rejoining one cold. Two: one lost packet must not reshard the ring.
+const healthFailures = 2
+
 // Options configures a Coordinator.
 type Options struct {
 	// Backends is the shard set, as host:port addresses. Required,
 	// non-empty, duplicate-free.
 	Backends []string
-	// Vnodes is the virtual-node count per backend on the hash ring
-	// (default 64).
-	Vnodes int
 	// HedgeMin floors the hedge delay: a second attempt for a slow
 	// request never launches earlier than this, even when the observed
 	// p99 is lower (default 250ms). The effective delay is
@@ -39,10 +41,6 @@ type Options struct {
 	QuotaBurst int
 	// HealthInterval paces the liveness probes (default 2s).
 	HealthInterval time.Duration
-	// HealthFailures is how many consecutive probe failures mark a
-	// backend dead (default 2 — one lost packet must not reshard the
-	// ring).
-	HealthFailures int
 	// SnapshotInterval paces the cache-snapshot pulls that feed warm
 	// rejoin; 0 disables snapshotting (default 30s when unset via
 	// NewCoordinator's defaulting, explicit negative disables).
@@ -103,7 +101,7 @@ type clusterMetrics struct {
 // HealthInterval old. Evaluates and sessions work without Run (all
 // backends presumed alive).
 func NewCoordinator(opts Options) (*Coordinator, error) {
-	r, err := newRing(opts.Backends, opts.Vnodes)
+	r, err := newRing(opts.Backends)
 	if err != nil {
 		return nil, err
 	}
@@ -115,9 +113,6 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 	}
 	if opts.HealthInterval <= 0 {
 		opts.HealthInterval = 2 * time.Second
-	}
-	if opts.HealthFailures <= 0 {
-		opts.HealthFailures = 2
 	}
 	if opts.SnapshotInterval == 0 {
 		opts.SnapshotInterval = 30 * time.Second
@@ -168,7 +163,7 @@ func NewCoordinator(opts Options) (*Coordinator, error) {
 		snapshotRestores: reg.Counter("bright_cluster_snapshot_restores_total",
 			"Cache snapshots pushed into rejoining shards."),
 		coldRejoins: reg.Counter("bright_cluster_cold_rejoins_total",
-			"Shards readmitted cold after HealthFailures consecutive failed snapshot pushes."),
+			"Shards readmitted cold after consecutive failed snapshot pushes."),
 		chainResubmits: reg.Counter("bright_cluster_chain_resubmits_total",
 			"Sweep chains resubmitted after losing their shard."),
 		proxyDur: reg.Histogram("bright_cluster_proxy_duration_seconds",
@@ -609,7 +604,7 @@ func newHealthState(n int) *healthState {
 }
 
 // healthPass probes every backend once. A backend goes dead after
-// HealthFailures consecutive failed probes; a dead backend that answers
+// healthFailures consecutive failed probes; a dead backend that answers
 // a probe rejoins through rejoin.
 func (c *Coordinator) healthPass(ctx context.Context, h *healthState) {
 	for _, addr := range c.ring.backends() {
@@ -619,7 +614,7 @@ func (c *Coordinator) healthPass(ctx context.Context, h *healthState) {
 		if err != nil {
 			h.probeFails[addr]++
 			h.pushFails[addr] = 0
-			if h.probeFails[addr] >= c.opts.HealthFailures && c.ring.isAlive(addr) {
+			if h.probeFails[addr] >= healthFailures && c.ring.isAlive(addr) {
 				c.ring.setAlive(addr, false)
 				c.m.backendUp[addr].Set(0)
 				log.Printf("cluster: backend %s dead after %d failed probes: %v", addr, h.probeFails[addr], err)
@@ -637,7 +632,7 @@ func (c *Coordinator) healthPass(ctx context.Context, h *healthState) {
 // *before* the ring routes to it, so rejoin traffic lands on a warm
 // cache. The push is bounded like a pull. A failed push keeps the
 // backend out of the ring, to retry on the next health pass; after
-// HealthFailures consecutive failed pushes it is readmitted cold, so a
+// healthFailures consecutive failed pushes it is readmitted cold, so a
 // shard that cannot take its snapshot still serves.
 func (c *Coordinator) rejoin(ctx context.Context, addr string, h *healthState) {
 	c.snapMu.Lock()
@@ -649,7 +644,7 @@ func (c *Coordinator) rejoin(ctx context.Context, addr string, h *healthState) {
 		cancel()
 		if err != nil {
 			h.pushFails[addr]++
-			if h.pushFails[addr] < c.opts.HealthFailures {
+			if h.pushFails[addr] < healthFailures {
 				log.Printf("cluster: warm rejoin of %s: snapshot push %d failed, retrying next pass: %v",
 					addr, h.pushFails[addr], err)
 				return

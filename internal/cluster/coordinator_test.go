@@ -378,7 +378,8 @@ func TestCoordinatorSweepKeepsChainsWhole(t *testing.T) {
 	tc := newTestCluster(t, 3, func(o *Options) { o.HealthInterval = 50 * time.Millisecond })
 	tc.startRun(t)
 
-	// 2 flows x 2 inlets x 2 loads = 8 points in 4 chains of 2.
+	// 2 flows x 2 inlets x 2 loads = 8 points in 2 chains of 4: the
+	// inlet axis rides inside each flow's chain.
 	resp, body := postJSON(t, tc.srv.URL+"/v1/sweep",
 		`{"flows_ml_min": [100, 300], "inlet_temps_c": [27, 37], "chip_loads": [0.4, 0.8]}`)
 	if resp.StatusCode != http.StatusAccepted {
@@ -392,8 +393,8 @@ func TestCoordinatorSweepKeepsChainsWhole(t *testing.T) {
 	if err := json.Unmarshal(body, &accepted); err != nil {
 		t.Fatal(err)
 	}
-	if accepted.Total != 8 || accepted.Chains != 4 {
-		t.Fatalf("accept body %+v, want total 8 in 4 chains", accepted)
+	if accepted.Total != 8 || accepted.Chains != 2 {
+		t.Fatalf("accept body %+v, want total 8 in 2 chains", accepted)
 	}
 
 	view := tc.waitJob(t, accepted.JobID, 10*time.Second)
@@ -436,8 +437,8 @@ func TestCoordinatorSweepKeepsChainsWhole(t *testing.T) {
 			seen[key] = b.addr
 		}
 	}
-	if len(seen) != 4 {
-		t.Fatalf("expected 4 chains across the fleet, saw %d: %v", len(seen), seen)
+	if len(seen) != 2 {
+		t.Fatalf("expected 2 chains across the fleet, saw %d: %v", len(seen), seen)
 	}
 }
 
@@ -792,7 +793,6 @@ func TestCoordinatorJobReadIgnoresStalledShard(t *testing.T) {
 func TestCoordinatorWarmRejoin(t *testing.T) {
 	tc := newTestCluster(t, 3, func(o *Options) {
 		o.HealthInterval = 50 * time.Millisecond
-		o.HealthFailures = 2
 		o.SnapshotInterval = -1 // snapshots pulled manually below
 	})
 	cfg := core.DefaultConfig()
@@ -888,7 +888,6 @@ func TestCoordinatorWarmRejoin(t *testing.T) {
 func rejoinFixture(t *testing.T) (*testCluster, *testBackend) {
 	t.Helper()
 	tc := newTestCluster(t, 2, func(o *Options) {
-		o.HealthFailures = 2
 		o.SnapshotInterval = 200 * time.Millisecond // bounds each pull and push; passes run manually
 	})
 	cfg := core.DefaultConfig()
@@ -934,7 +933,7 @@ func TestCoordinatorRejoinRetriesStalledPush(t *testing.T) {
 }
 
 // TestCoordinatorRejoinColdAfterFailedPushes: a shard that refuses
-// every snapshot push is readmitted cold after HealthFailures
+// every snapshot push is readmitted cold after healthFailures
 // consecutive failures, and the cold rejoin is counted.
 func TestCoordinatorRejoinColdAfterFailedPushes(t *testing.T) {
 	tc, victim := rejoinFixture(t)
@@ -946,7 +945,7 @@ func TestCoordinatorRejoinColdAfterFailedPushes(t *testing.T) {
 	}
 	tc.coord.healthPass(context.Background(), h)
 	if !tc.coord.ring.isAlive(victim.addr) {
-		t.Fatal("shard still out after HealthFailures failed pushes")
+		t.Fatal("shard still out after healthFailures failed pushes")
 	}
 	if got := tc.coord.m.coldRejoins.Value(); got != 1 {
 		t.Fatalf("cold rejoins = %d, want 1", got)

@@ -100,7 +100,7 @@ func TestClusterEndToEnd(t *testing.T) {
 
 	// Predict routing with the same ring the coordinator builds, so the
 	// test can kill the exact shard that owns the pinned configuration.
-	ring, err := newRing(backendAddrs, 0)
+	ring, err := newRing(backendAddrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestClusterUnpolledSweepRecovers(t *testing.T) {
 
 	// Build the same ring the coordinator uses and pick three flows whose
 	// chains all hash to one shard: a guaranteed-skewed placement.
-	ring, err := newRing(backendAddrs, 0)
+	ring, err := newRing(backendAddrs)
 	if err != nil {
 		t.Fatal(err)
 	}

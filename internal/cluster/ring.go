@@ -18,10 +18,10 @@ import (
 	"sync"
 )
 
-// defaultVnodes is the number of virtual nodes each backend contributes
+// ringVnodes is the number of virtual nodes each backend contributes
 // to the ring. 64 keeps the per-backend load imbalance in the few-
 // percent range for small fleets while the ring stays tiny (a few KB).
-const defaultVnodes = 64
+const ringVnodes = 64
 
 // vnode is one virtual point on the ring.
 type vnode struct {
@@ -56,12 +56,9 @@ func hashKey(s string) uint64 {
 
 // newRing builds the ring. Backends start alive; health checking flips
 // them via setAlive.
-func newRing(addrs []string, vnodes int) (*ring, error) {
+func newRing(addrs []string) (*ring, error) {
 	if len(addrs) == 0 {
 		return nil, fmt.Errorf("cluster: no backends")
-	}
-	if vnodes <= 0 {
-		vnodes = defaultVnodes
 	}
 	r := &ring{alive: make(map[string]bool, len(addrs))}
 	for _, addr := range addrs {
@@ -73,7 +70,7 @@ func newRing(addrs []string, vnodes int) (*ring, error) {
 		}
 		r.alive[addr] = true
 		r.addrs = append(r.addrs, addr)
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < ringVnodes; v++ {
 			r.vnodes = append(r.vnodes, vnode{
 				hash: hashKey(fmt.Sprintf("%s#%d", addr, v)),
 				addr: addr,

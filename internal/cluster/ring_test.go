@@ -7,11 +7,11 @@ import (
 
 func TestRingDeterministicAndBalanced(t *testing.T) {
 	addrs := []string{"a:1", "b:1", "c:1"}
-	r1, err := newRing(addrs, 0)
+	r1, err := newRing(addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := newRing(addrs, 0)
+	r2, err := newRing(addrs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func TestRingDeterministicAndBalanced(t *testing.T) {
 }
 
 func TestRingDeathMovesOnlyTheDeadShardsKeys(t *testing.T) {
-	r, err := newRing([]string{"a:1", "b:1", "c:1"}, 0)
+	r, err := newRing([]string{"a:1", "b:1", "c:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestRingDeathMovesOnlyTheDeadShardsKeys(t *testing.T) {
 }
 
 func TestRingNextIsDistinctAliveBackend(t *testing.T) {
-	r, err := newRing([]string{"a:1", "b:1", "c:1"}, 0)
+	r, err := newRing([]string{"a:1", "b:1", "c:1"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +114,13 @@ func TestRingNextIsDistinctAliveBackend(t *testing.T) {
 }
 
 func TestRingRejectsBadConfigurations(t *testing.T) {
-	if _, err := newRing(nil, 0); err == nil {
+	if _, err := newRing(nil); err == nil {
 		t.Fatal("empty backend set accepted")
 	}
-	if _, err := newRing([]string{"a:1", "a:1"}, 0); err == nil {
+	if _, err := newRing([]string{"a:1", "a:1"}); err == nil {
 		t.Fatal("duplicate backend accepted")
 	}
-	if _, err := newRing([]string{""}, 0); err == nil {
+	if _, err := newRing([]string{""}); err == nil {
 		t.Fatal("empty address accepted")
 	}
 }

@@ -15,9 +15,9 @@ import (
 )
 
 // chainAssign is one warm-start chain of a partitioned sweep: a
-// contiguous run of grid points sharing a hydrodynamic condition
-// (core.Config.ChainKey), placed whole on a single shard so the shard's
-// batched chain solver keeps its neighbor warm starts. start/count
+// contiguous run of grid points sharing one flow (core.Config.ChainKey),
+// placed whole on a single shard so the shard's batched chain solver
+// keeps its neighbor warm starts. start/count
 // locate the chain in the client-visible global grid. key, spec, start
 // and count never change; the placement and progress fields below them
 // are guarded by the owning clusterJob's mu once the job is registered.

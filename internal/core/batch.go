@@ -9,15 +9,15 @@ import (
 
 // Batch evaluates a sequence of configurations while reusing the
 // operator that consecutive points share: one cosim.Runner (the
-// assembled thermal FV network and its unit responses) per
-// hydrodynamic condition, rebuilt only when (FlowMLMin, InletTempC)
-// changes. The power grid needs no per-batch state: every evaluation
-// reads the process-wide grid response.
+// assembled thermal FV network and its unit responses) per total flow,
+// rebuilt only when FlowMLMin changes; an inlet change keeps it. The
+// power grid needs no per-batch state: every evaluation reads the
+// process-wide grid response.
 //
 // Fed points in sim.SweepSpec.Grid() row-major order — flow outermost,
-// load innermost — every run of points sharing (flow, inlet) pays the
-// thermal response's two Krylov solves once, which is the sweep-level
-// win this type exists for. A Batch is not safe for concurrent use.
+// load innermost — every run of points sharing a flow pays the thermal
+// response's two Krylov solves once, which is the sweep-level win this
+// type exists for. A Batch is not safe for concurrent use.
 type Batch struct {
 	runner *cosim.Runner
 }
@@ -40,13 +40,13 @@ func (b *Batch) PrefetchChain(ctx context.Context, cfgs []Config) error {
 }
 
 // EvaluateContext evaluates one configuration, reusing the runner from
-// previous evaluations when the hydrodynamic condition matches.
+// previous evaluations when the flow matches.
 func (b *Batch) EvaluateContext(ctx context.Context, cfg Config) (*Report, error) {
 	s, err := NewSystem(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if b.runner == nil || !b.runner.Matches(cfg.FlowMLMin, cfg.InletTempC) {
+	if b.runner == nil || !b.runner.Matches(cfg.FlowMLMin) {
 		r, err := cosim.NewRunner(cfg.FlowMLMin, cfg.InletTempC)
 		if err != nil {
 			return nil, fmt.Errorf("core: co-simulation: %w", err)

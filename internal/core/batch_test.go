@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -112,14 +113,11 @@ func TestCanonicalKeyContract(t *testing.T) {
 		t.Fatal("two cold evaluates of one config differ")
 	}
 
-	// Walk one chain upward and one downward: every point but the first
-	// of each walk is seeded by a different neighbour.
-	voltages := []float64{0.85, 0.95, 1.05}
-	for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}} {
+	// walk evaluates the configs in order on one Batch, checking every
+	// chained answer against a cold evaluate of the same config.
+	walk := func(name string, cfgs []Config) {
 		b := NewBatch()
-		for _, k := range order {
-			cfg := DefaultConfig()
-			cfg.SupplyVoltage = voltages[k]
+		for _, cfg := range cfgs {
 			chained, err := b.EvaluateContext(context.Background(), cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -138,12 +136,35 @@ func TestCanonicalKeyContract(t *testing.T) {
 				{"NetElectricalGainW", chained.NetElectricalGainW, cold.NetElectricalGainW, 1e-3 * math.Abs(cold.DeliveredW)},
 			} {
 				if d := math.Abs(q.got - q.want); d > q.tol {
-					t.Errorf("%.2f V (order %v): chained %s %.9g vs cold %.9g (|diff| %.3g > %.3g)",
-						cfg.SupplyVoltage, order, q.name, q.got, q.want, d, q.tol)
+					t.Errorf("%s at %.2f V, %g C: chained %s %.9g vs cold %.9g (|diff| %.3g > %.3g)",
+						name, cfg.SupplyVoltage, cfg.InletTempC, q.name, q.got, q.want, d, q.tol)
 				}
 			}
 		}
 	}
+
+	// Walk one voltage chain upward and one downward: every point but
+	// the first of each walk is seeded by a different neighbour.
+	voltages := []float64{0.85, 0.95, 1.05}
+	for _, order := range [][]int{{0, 1, 2}, {2, 1, 0}} {
+		cfgs := make([]Config, len(order))
+		for i, k := range order {
+			cfgs[i] = DefaultConfig()
+			cfgs[i].SupplyVoltage = voltages[k]
+		}
+		walk(fmt.Sprintf("voltage walk %v", order), cfgs)
+	}
+
+	// Walk the inlet up and back at 676 ml/min: one runner serves every
+	// inlet, each point seeded from its neighbour shifted by the inlet
+	// change.
+	var inlets []Config
+	for _, c := range []float64{27, 32, 37, 32, 27} {
+		cfg := DefaultConfig()
+		cfg.FlowMLMin, cfg.InletTempC = 676, c
+		inlets = append(inlets, cfg)
+	}
+	walk("inlet walk", inlets)
 }
 
 // TestEvaluateKrylovBudget: once the process grid response exists, a

@@ -78,6 +78,15 @@ func (c Config) floatFields() []struct {
 // configs that share a key are indistinguishable to the physics.
 const keyTolerance = 1e-9
 
+// keyField formats name=v with v quantized to keyTolerance (-0 as 0).
+func keyField(name string, v float64) string {
+	q := math.Round(v/keyTolerance) * keyTolerance
+	if q == 0 {
+		q = 0
+	}
+	return fmt.Sprintf("%s=%.9f", name, q)
+}
+
 // CanonicalKey returns a deterministic string key identifying the
 // configuration up to solver tolerance: each field is quantized to
 // keyTolerance before formatting, so configs that differ only below the
@@ -106,11 +115,7 @@ func (c Config) CanonicalKey() string {
 	fields := c.floatFields()
 	parts := make([]string, len(fields))
 	for k, f := range fields {
-		q := math.Round(f.Value/keyTolerance) * keyTolerance
-		if q == 0 { // normalize -0
-			q = 0
-		}
-		parts[k] = fmt.Sprintf("%s=%.9f", f.Name, q)
+		parts[k] = keyField(f.Name, f.Value)
 	}
 	key := parts[0]
 	for _, p := range parts[1:] {
@@ -120,21 +125,15 @@ func (c Config) CanonicalKey() string {
 }
 
 // ChainKey returns a deterministic string key identifying only the
-// hydrodynamic operating condition — flow rate and inlet temperature,
-// quantized exactly like CanonicalKey. Configs sharing a ChainKey share
-// the thermal operator and its unit responses (cosim.Runner), so
-// solving them back-to-back on one node skips every thermal solve after
-// the first; sweep chaining and the cluster coordinator both partition
-// work on this key to preserve that locality.
+// hydrodynamic operating condition — the flow rate, quantized exactly
+// like CanonicalKey. Configs sharing a ChainKey share the thermal
+// operator and its unit responses (cosim.Runner); the inlet temperature
+// enters neither, so it does not split the key. Solving such configs
+// back-to-back on one node skips every thermal solve after the first;
+// sweep chaining and the cluster coordinator both partition work on
+// this key to preserve that locality.
 func (c Config) ChainKey() string {
-	quant := func(v float64) float64 {
-		q := math.Round(v/keyTolerance) * keyTolerance
-		if q == 0 { // normalize -0
-			q = 0
-		}
-		return q
-	}
-	return fmt.Sprintf("FlowMLMin=%.9f|InletTempC=%.9f", quant(c.FlowMLMin), quant(c.InletTempC))
+	return keyField("FlowMLMin", c.FlowMLMin)
 }
 
 // Validate reports whether the configuration is usable.

@@ -156,29 +156,33 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 // Runner caches the thermal operator behind the co-simulation for one
-// hydrodynamic condition (total flow, inlet temperature): the FV network
-// is assembled and preconditioned exactly once, and its unit responses
-// (thermal.Response: two Krylov solves on the first run) answer every
-// later fixed-point iteration — across iterations AND across
-// consecutive RunContext calls at any ChipLoad or TerminalVoltage (the
-// inner axes of sim.SweepSpec.Grid()'s row-major order) — with an O(n)
-// combine and no linear solve. A Runner is not safe for concurrent use.
+// total flow: the FV network is assembled and preconditioned exactly
+// once, and its unit responses (thermal.Response: two Krylov solves on
+// the first run) answer every later fixed-point iteration — across
+// iterations AND across consecutive RunContext calls at any inlet
+// temperature, ChipLoad or TerminalVoltage (the inner axes of
+// sim.SweepSpec.Grid()'s row-major order) — with an O(n) combine and no
+// linear solve: the inlet temperature enters only the combine's
+// baseline, never the matrix. A Runner is not safe for concurrent use.
 type Runner struct {
-	flowMLMin, inletTempC float64
-	base                  *thermal.Problem
-	session               *thermal.Session
+	flowMLMin float64
+	base      *thermal.Problem
+	session   *thermal.Session
 	// response is built from session on the first run.
 	response *thermal.Response
 	// lastTCell is the previous run's converged cell temperature (0 until
-	// a run converges). Seeding the next run's fixed point from it — a
-	// continuation in the sweep's inner axes — converges in a fraction of
-	// the outer iterations a cold start from the inlet temperature needs,
-	// and each outer iteration saved is one flow-cell polarization saved.
-	lastTCell float64
+	// a run converges) and lastInletK that run's inlet temperature.
+	// Seeding the next run's fixed point from lastTCell, shifted by the
+	// inlet change — a continuation in the sweep's inner axes — converges
+	// in a fraction of the outer iterations a cold start from the inlet
+	// temperature needs, and each outer iteration saved is one flow-cell
+	// polarization saved.
+	lastTCell, lastInletK float64
 }
 
-// NewRunner assembles the thermal session for one (flow, inlet)
-// condition.
+// NewRunner assembles the thermal session for one total flow.
+// inletTempC only names the thermal.Problem the session is assembled
+// from; the Runner serves any valid inlet temperature at this flow.
 func NewRunner(flowMLMin, inletTempC float64) (*Runner, error) {
 	tp := thermal.Power7Problem(flowMLMin, units.CtoK(inletTempC), 0)
 	session, err := thermal.NewSession(tp)
@@ -186,31 +190,31 @@ func NewRunner(flowMLMin, inletTempC float64) (*Runner, error) {
 		return nil, err
 	}
 	return &Runner{
-		flowMLMin:  flowMLMin,
-		inletTempC: inletTempC,
-		base:       tp,
-		session:    session,
+		flowMLMin: flowMLMin,
+		base:      tp,
+		session:   session,
 	}, nil
 }
 
 // Matches reports whether the runner's cached thermal session covers the
-// given hydrodynamic condition. Sweep grids repeat exact float values
-// along each axis, so exact comparison is the right test.
-func (r *Runner) Matches(flowMLMin, inletTempC float64) bool {
-	return r.flowMLMin == flowMLMin && r.inletTempC == inletTempC
+// given total flow. Sweep grids repeat exact float values along each
+// axis, so exact comparison is the right test.
+func (r *Runner) Matches(flowMLMin float64) bool {
+	return r.flowMLMin == flowMLMin
 }
 
 // RunContext executes the fixed-point co-simulation on the cached
-// operator. The config's flow and inlet must match the runner's
-// condition; ChipLoad scales the power-map response.
+// operator. The config's flow must match the runner's; its inlet
+// temperature sets the response's baseline and ChipLoad scales the
+// power-map response.
 func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	if !r.Matches(cfg.TotalFlowMLMin, cfg.InletTempC) {
-		return nil, fmt.Errorf("cosim: runner bound to %g ml/min, %g C cannot run %g ml/min, %g C",
-			r.flowMLMin, r.inletTempC, cfg.TotalFlowMLMin, cfg.InletTempC)
+	if !r.Matches(cfg.TotalFlowMLMin) {
+		return nil, fmt.Errorf("cosim: runner bound to %g ml/min cannot run %g ml/min",
+			r.flowMLMin, cfg.TotalFlowMLMin)
 	}
 	if r.response == nil {
 		resp, err := r.session.Response(ctx, r.base.Power)
@@ -224,12 +228,15 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		}
 		r.response = resp
 	}
-	tCell := units.CtoK(cfg.InletTempC)
+	inletK := units.CtoK(cfg.InletTempC)
+	tCell := inletK
 	if r.lastTCell != 0 {
 		// Warm start the fixed point from the neighboring point's
-		// converged state. The iteration is a contraction, so the seed
-		// changes only how fast it converges, not where.
-		tCell = r.lastTCell
+		// converged state, shifted by the inlet change (the field is T_in
+		// plus a rise T_in does not enter). The iteration is a
+		// contraction, so the seed changes only how fast it converges,
+		// not where.
+		tCell = r.lastTCell + (inletK - r.lastInletK)
 	}
 	res := &Result{Config: cfg}
 	var heat float64
@@ -251,7 +258,7 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 			cosimErrored.Inc()
 			return nil, err
 		}
-		sum := r.response.Summary(cfg.ChipLoad, heat)
+		sum := r.response.Summary(inletK, cfg.ChipLoad, heat)
 		res.History = append(res.History, IterRecord{
 			CellTempK: tCell,
 			Current:   op.Current,
@@ -264,15 +271,15 @@ func (r *Runner) RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if math.Abs(tNew-tCell) < cfg.TolK {
 			res.Converged = true
 			res.CellTempK = tCell
-			res.Thermal = r.response.Solution(cfg.ChipLoad, heat)
-			r.lastTCell = tCell
+			res.Thermal = r.response.Solution(inletK, cfg.ChipLoad, heat)
+			r.lastTCell, r.lastInletK = tCell, inletK
 			cosimConverged.Inc()
 			return res, nil
 		}
 		tCell += cfg.Relax * (tNew - tCell)
 	}
 	res.CellTempK = tCell
-	res.Thermal = r.response.Solution(cfg.ChipLoad, heat)
+	res.Thermal = r.response.Solution(inletK, cfg.ChipLoad, heat)
 	cosimMaxIter.Inc()
 	return res, fmt.Errorf("%w after %d iterations (last dT drive)", ErrNoConvergence, cfg.MaxIter)
 }

@@ -17,21 +17,26 @@ import (
 // direct Krylov solve of the whole network at the converged load and
 // coolant heat, over seeded configs across the domain. The named
 // configs also pin their fixed-point iteration counts, which the switch
-// from per-iteration solves to unit responses left unchanged.
+// from per-iteration solves to unit responses left unchanged. A case
+// with warmFromC first runs its runner at that inlet temperature: the
+// runner serves the new inlet from the same responses, and the shifted
+// warm seed takes no more outer iterations than a cold run.
 func TestRunnerMatchesDirectSolve(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full co-simulations in -short mode")
 	}
 	type tc struct {
-		cfg   Config
-		iters int // 0: not pinned
+		cfg       Config
+		iters     int     // 0: not pinned
+		warmFromC float64 // 0: cold runner
 	}
 	cases := []tc{
-		{Config{TotalFlowMLMin: 676, InletTempC: 27, TerminalVoltage: 1, ChipLoad: 1}, 6},
-		{Config{TotalFlowMLMin: 48, InletTempC: 27, TerminalVoltage: 1, ChipLoad: 1}, 7},
-		{Config{TotalFlowMLMin: 676, InletTempC: 37, TerminalVoltage: 1, ChipLoad: 0.6}, 6},
-		{Config{TotalFlowMLMin: 200, InletTempC: 27, TerminalVoltage: 0.8, ChipLoad: 1.3}, 7},
-		{Config{TotalFlowMLMin: 1200, InletTempC: 60, TerminalVoltage: 1, ChipLoad: 1}, 6},
+		{Config{TotalFlowMLMin: 676, InletTempC: 27, TerminalVoltage: 1, ChipLoad: 1}, 6, 0},
+		{Config{TotalFlowMLMin: 48, InletTempC: 27, TerminalVoltage: 1, ChipLoad: 1}, 7, 0},
+		{Config{TotalFlowMLMin: 676, InletTempC: 37, TerminalVoltage: 1, ChipLoad: 0.6}, 6, 0},
+		{Config{TotalFlowMLMin: 200, InletTempC: 27, TerminalVoltage: 0.8, ChipLoad: 1.3}, 7, 0},
+		{Config{TotalFlowMLMin: 1200, InletTempC: 60, TerminalVoltage: 1, ChipLoad: 1}, 6, 0},
+		{cfg: Config{TotalFlowMLMin: 676, InletTempC: 37, TerminalVoltage: 1, ChipLoad: 1}, warmFromC: 27},
 	}
 	rng := rand.New(rand.NewSource(15))
 	for k := 0; k < 3; k++ {
@@ -43,9 +48,26 @@ func TestRunnerMatchesDirectSolve(t *testing.T) {
 		}})
 	}
 	for _, c := range cases {
-		r, err := NewRunner(c.cfg.TotalFlowMLMin, c.cfg.InletTempC)
+		assembleC := c.cfg.InletTempC
+		if c.warmFromC != 0 {
+			assembleC = c.warmFromC
+		}
+		r, err := NewRunner(c.cfg.TotalFlowMLMin, assembleC)
 		if err != nil {
 			t.Fatal(err)
+		}
+		coldIters := 0
+		if c.warmFromC != 0 {
+			prev := c.cfg
+			prev.InletTempC = c.warmFromC
+			if _, err := r.RunContext(context.Background(), prev); err != nil {
+				t.Fatalf("%+v: %v", prev, err)
+			}
+			cold, err := RunContext(context.Background(), c.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coldIters = cold.Iterations
 		}
 		res, err := r.RunContext(context.Background(), c.cfg)
 		if err != nil {
@@ -53,6 +75,10 @@ func TestRunnerMatchesDirectSolve(t *testing.T) {
 		}
 		if c.iters != 0 && res.Iterations != c.iters {
 			t.Errorf("%+v: %d fixed-point iterations, want %d", c.cfg, res.Iterations, c.iters)
+		}
+		if coldIters != 0 && res.Iterations > coldIters {
+			t.Errorf("%+v after %g C: %d fixed-point iterations, a cold run takes %d",
+				c.cfg, c.warmFromC, res.Iterations, coldIters)
 		}
 		heat := res.History[len(res.History)-1].HeatW
 		tp := thermal.Power7Problem(c.cfg.TotalFlowMLMin, units.CtoK(c.cfg.InletTempC), 0)
@@ -88,7 +114,8 @@ func TestRunnerMatchesDirectSolve(t *testing.T) {
 }
 
 // TestRunnerKrylovBudget: a Runner's first run pays exactly the two
-// unit-response solves; later runs at any load or voltage pay none.
+// unit-response solves; later runs at any inlet, load or voltage pay
+// none.
 func TestRunnerKrylovBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full co-simulations in -short mode")
@@ -103,6 +130,7 @@ func TestRunnerKrylovBudget(t *testing.T) {
 		{TotalFlowMLMin: 676, InletTempC: 27, TerminalVoltage: 1, ChipLoad: 1},
 		{TotalFlowMLMin: 676, InletTempC: 27, TerminalVoltage: 0.8, ChipLoad: 0.4},
 		{TotalFlowMLMin: 676, InletTempC: 27, TerminalVoltage: 1.2, ChipLoad: 1.3},
+		{TotalFlowMLMin: 676, InletTempC: 37, TerminalVoltage: 1, ChipLoad: 1},
 	} {
 		b0, c0 := bicg.Value(), cold.Value()
 		if _, err := r.RunContext(context.Background(), cfg); err != nil {

@@ -65,14 +65,14 @@ type Options struct {
 	// Solver overrides the production solver (tests, benchmarks).
 	Solver Solver
 	// BatchChain builds a fresh stateful solver for one sweep chain —
-	// the grid points sharing one hydrodynamic condition, executed
-	// sequentially so each point reuses its neighbor's thermal operator
-	// and converged state — plus a ChainPrefetch that SubmitSweep hands
-	// the chain's full point list before the sequential walk begins. A
+	// the grid points sharing one flow, executed sequentially so each
+	// point reuses its neighbor's thermal operator and converged state —
+	// plus a ChainPrefetch that SubmitSweep hands the chain's full
+	// point list before the sequential walk begins. A
 	// nil prefetch is valid. Prefetch errors are counted and otherwise
 	// ignored — every point still solves correctly. The default wraps
-	// core.NewBatch (one thermal runner per condition, whose unit
-	// responses are solved once per chain); when Solver is overridden
+	// core.NewBatch (one thermal runner per flow, whose unit responses
+	// are solved once per chain); when Solver is overridden
 	// and BatchChain is not, chains reuse the overridden Solver
 	// (stateless, no warm carry).
 	BatchChain func() (Solver, ChainPrefetch)

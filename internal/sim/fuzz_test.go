@@ -80,9 +80,9 @@ func FuzzCacheSnapshotRestore(f *testing.F) {
 
 // FuzzSweepChains pins the chain partition both the engine and the
 // cluster coordinator schedule by: for any spec Grid() accepts, the
-// chains' grids, concatenated, are exactly Grid() in order; every point
-// of a chain shares its flow and inlet temperature; and each chain
-// carries the full voltage x load sub-grid. counts packs one byte per
+// chains' grids, concatenated, are exactly Grid() in order; there is
+// one chain per flow, every point of a chain shares its flow; and each
+// chain carries the full inlet x voltage x load sub-grid. counts packs one byte per
 // axis (flow, inlet, voltage, load); each byte mod 6 is that axis's
 // length, 0 leaving the axis empty so it falls back to the base.
 func FuzzSweepChains(f *testing.F) {
@@ -115,16 +115,20 @@ func FuzzSweepChains(f *testing.F) {
 		if err != nil {
 			return // Chains is only defined on specs Grid() accepts
 		}
-		chainLen := max(len(spec.SupplyVoltages), 1) * max(len(spec.ChipLoads), 1)
+		chainLen := max(len(spec.InletTempsC), 1) * max(len(spec.SupplyVoltages), 1) * max(len(spec.ChipLoads), 1)
 
+		chains := spec.Chains()
+		if want := max(len(spec.FlowsMLMin), 1); len(chains) != want {
+			t.Fatalf("%d chains, want one per flow (%d)", len(chains), want)
+		}
 		next := 0
-		for c, chain := range spec.Chains() {
+		for c, chain := range chains {
 			pts, err := chain.Grid()
 			if err != nil {
 				t.Fatalf("chain %d of an accepted spec fails to expand: %v", c, err)
 			}
 			if len(pts) != chainLen {
-				t.Fatalf("chain %d has %d points, want len(volts)*len(loads) = %d", c, len(pts), chainLen)
+				t.Fatalf("chain %d has %d points, want len(inlets)*len(volts)*len(loads) = %d", c, len(pts), chainLen)
 			}
 			for _, cfg := range pts {
 				if next >= len(grid) {
@@ -133,8 +137,8 @@ func FuzzSweepChains(f *testing.F) {
 				if cfg != grid[next] {
 					t.Fatalf("chain %d: point %+v, want grid[%d] = %+v", c, cfg, next, grid[next])
 				}
-				if cfg.FlowMLMin != pts[0].FlowMLMin || cfg.InletTempC != pts[0].InletTempC {
-					t.Fatalf("chain %d mixes hydrodynamic conditions: %+v vs %+v", c, cfg, pts[0])
+				if cfg.FlowMLMin != pts[0].FlowMLMin {
+					t.Fatalf("chain %d mixes flows: %+v vs %+v", c, cfg, pts[0])
 				}
 				next++
 			}

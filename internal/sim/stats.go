@@ -55,7 +55,7 @@ type Stats struct {
 	JobsDone   int `json:"jobs_done"`
 
 	// Sweep warm-start chains. A chain is a run of grid-adjacent sweep
-	// points sharing the hydrodynamic condition, executed sequentially
+	// points sharing one flow, executed sequentially
 	// on one cached solver stack; a warm point is a chain solve seeded
 	// by an earlier point's converged state, a cold point paid the full
 	// setup. WarmPoints/(WarmPoints+ColdPoints) is the chaining hit rate.
@@ -112,7 +112,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		solveLatency: reg.Histogram("bright_solve_duration_seconds",
 			"Wall-clock latency of one solver invocation.", obs.DefLatencyBuckets),
 		sweepChains: reg.Counter("bright_sweep_chains_total",
-			"Sweep warm-start chains executed (runs of points sharing a hydrodynamic condition)."),
+			"Sweep warm-start chains executed (runs of points sharing one flow)."),
 		sweepPointsWarm: reg.Counter("bright_sweep_points_total",
 			"Sweep points solved inside a chain, by warm-start state.", obs.L("warm", "true")),
 		sweepPointsCold: reg.Counter("bright_sweep_points_total",

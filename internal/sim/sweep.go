@@ -79,22 +79,20 @@ func (s SweepSpec) Grid() ([]core.Config, error) {
 }
 
 // Chains splits the spec into its warm-start chains: one sub-spec per
-// (flow, inlet) pair, in Grid() order, each carrying the full voltage x
-// load sub-grid. Every point of a chain shares the hydrodynamic
-// condition, and therefore the thermal system matrix, so a chain runs
-// sequentially on one solver stack with neighbor warm starts; the
-// chains' grids, concatenated, are exactly Grid(). The engine runs each
-// chain whole on one worker and the cluster coordinator places each
-// chain whole on one shard.
+// flow, in Grid() order, each carrying the full inlet x voltage x load
+// sub-grid. Every point of a chain shares the flow, and therefore the
+// thermal system matrix and its unit responses (the inlet enters only
+// their baseline), so a chain runs sequentially on one solver stack
+// with neighbor warm starts. Grid() nests the other axes inside the flow
+// axis, so the chains' grids, concatenated, are exactly Grid(). The
+// engine runs each chain whole on one worker and the cluster
+// coordinator places each chain whole on one shard.
 func (s SweepSpec) Chains() []SweepSpec {
-	_, flows, inlets, _, _ := s.axes()
-	chains := make([]SweepSpec, 0, len(flows)*len(inlets))
-	for _, f := range flows {
-		for _, t := range inlets {
-			c := s
-			c.FlowsMLMin, c.InletTempsC = []float64{f}, []float64{t}
-			chains = append(chains, c)
-		}
+	_, flows, _, _, _ := s.axes()
+	chains := make([]SweepSpec, len(flows))
+	for i, f := range flows {
+		chains[i] = s
+		chains[i].FlowsMLMin = []float64{f}
 	}
 	return chains
 }
@@ -272,7 +270,7 @@ func (e *Engine) SubmitSweep(ctx context.Context, spec SweepSpec) (*Job, error) 
 	e.jobs.add(j)
 
 	chains := len(spec.Chains())
-	per := len(grid) / chains // every chain has len(volts)*len(loads) points
+	per := len(grid) / chains // every chain has len(inlets)*len(volts)*len(loads) points
 	// Chains are counted at plan time; a job canceled mid-flight still
 	// reports the chains it planned, matching Total's planned points.
 	e.m.sweepChains.Add(uint64(chains))

@@ -74,8 +74,9 @@ func TestSweepGridRowMajorOrder(t *testing.T) {
 }
 
 // TestChainGrid: the 2x2x2x2 grid above must split (SweepSpec.Chains)
-// into 4 chains of 4 — one per (flow, inlet) pair, in grid order —
-// whose grids, concatenated, are exactly the full grid.
+// into 2 chains of 8 — one per flow, each carrying its inlet x voltage
+// x load sub-grid, in grid order — whose grids, concatenated, are
+// exactly the full grid.
 func TestChainGrid(t *testing.T) {
 	spec := SweepSpec{
 		FlowsMLMin:     []float64{100, 676},
@@ -88,8 +89,8 @@ func TestChainGrid(t *testing.T) {
 		t.Fatal(err)
 	}
 	chains := spec.Chains()
-	if len(chains) != 4 {
-		t.Fatalf("got %d chains, want 4 (one per hydrodynamic condition)", len(chains))
+	if len(chains) != 2 {
+		t.Fatalf("got %d chains, want 2 (one per flow)", len(chains))
 	}
 	next := 0
 	for c, chain := range chains {
@@ -97,15 +98,15 @@ func TestChainGrid(t *testing.T) {
 		if err != nil {
 			t.Fatalf("chain %d: %v", c, err)
 		}
-		if len(pts) != 4 {
-			t.Fatalf("chain %d has %d points, want 4", c, len(pts))
+		if len(pts) != 8 {
+			t.Fatalf("chain %d has %d points, want 8", c, len(pts))
 		}
 		for _, cfg := range pts {
 			if cfg != grid[next] {
 				t.Fatalf("chain %d: point %+v, want grid[%d] %+v (chains must cover the grid in order)", c, cfg, next, grid[next])
 			}
-			if cfg.FlowMLMin != pts[0].FlowMLMin || cfg.InletTempC != pts[0].InletTempC {
-				t.Fatalf("chain %d mixes hydrodynamic conditions: %+v", c, cfg)
+			if cfg.FlowMLMin != pts[0].FlowMLMin {
+				t.Fatalf("chain %d mixes flows: %+v", c, cfg)
 			}
 			next++
 		}
@@ -465,17 +466,23 @@ func TestSweepChainAccounting(t *testing.T) {
 // Real co-simulation solves through the production chain solver, cache
 // disabled so every point solves in both runs; reports are compared
 // through their canonical JSON rendering, which preserves float64 bits.
+// Each run also pins the chain accounting of an inlet axis: one chain
+// per flow, one cold head per chain, and two thermal unit-response
+// solves per chain whatever the number of inlets.
 func TestSweepScheduleInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full co-simulation sweep in -short mode")
 	}
 	spec := SweepSpec{
-		FlowsMLMin: []float64{480, 676},
-		ChipLoads:  []float64{0.4, 0.55, 0.7, 0.85, 1.0, 1.15},
+		FlowsMLMin:  []float64{480, 676},
+		InletTempsC: []float64{27, 32, 37},
+		ChipLoads:   []float64{0.4, 0.7, 1.0, 1.15},
 	}
-	total := len(spec.FlowsMLMin) * len(spec.ChipLoads)
+	total := len(spec.FlowsMLMin) * len(spec.InletTempsC) * len(spec.ChipLoads)
+	coldSolves := obs.Default.Counter("bright_thermal_session_solves_total", "", obs.L("warm", "false"))
 	run := func(workers int) map[int]string {
 		e := newTestEngine(t, Options{Workers: workers, CacheSize: -1})
+		c0 := coldSolves.Value()
 		job, err := e.SubmitSweep(context.Background(), spec)
 		if err != nil {
 			t.Fatal(err)
@@ -483,6 +490,14 @@ func TestSweepScheduleInvariance(t *testing.T) {
 		v := waitJob(t, job, 15*time.Minute)
 		if v.State != JobDone || v.Completed != total {
 			t.Fatalf("workers=%d: state=%s completed=%d, want done/%d", workers, v.State, v.Completed, total)
+		}
+		st := e.Stats()
+		if st.SweepChains != 2 || st.SweepPointsCold != 2 || st.SweepPointsWarm != uint64(total-2) {
+			t.Fatalf("workers=%d: chains=%d cold=%d warm=%d, want 2/2/%d (one chain per flow)",
+				workers, st.SweepChains, st.SweepPointsCold, st.SweepPointsWarm, total-2)
+		}
+		if n := coldSolves.Value() - c0; n != 4 {
+			t.Fatalf("workers=%d: %d cold thermal session solves, want 4 (two unit responses per flow)", workers, n)
 		}
 		out := make(map[int]string, len(v.Results))
 		for _, r := range v.Results {

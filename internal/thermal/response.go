@@ -7,19 +7,22 @@ import (
 	"bright/internal/mesh"
 )
 
-// Response is a Session's steady state as an affine function of its two
-// right-hand-side inputs, the power-map scale and the extra coolant
-// heat. The network is linear and has no ambient sink: conduction
-// stamps have zero row sums and the advection rows reproduce the inlet
-// baseline, so the uniform inlet field solves the baseline alone and
+// Response is a Session's steady state as an affine function of its
+// right-hand-side inputs: the inlet temperature, the power-map scale and
+// the extra coolant heat. The network is linear and has no ambient sink:
+// conduction stamps have zero row sums and the advection rows reproduce
+// the inlet baseline, so the uniform inlet field solves the baseline
+// alone and
 //
 //	T = T_in + load·Xp + heat·Xh
 //
 // where Xp solves the network for the power map with no baseline and Xh
 // for 1 W of coolant heat spread exactly as Solve spreads
-// extraFluidHeat. Two solves from zero then answer every (load, heat)
-// pair with an O(n) combine instead of a Krylov solve. A Response is
-// not safe for concurrent use: it combines into a reused buffer.
+// extraFluidHeat. Neither solve sees the inlet temperature (the matrix
+// depends on the flow, not on T_in), so two solves from zero answer
+// every (inlet, load, heat) at the session's flow with an O(n) combine
+// instead of a Krylov solve. A Response is not safe for concurrent use:
+// it combines into a reused buffer.
 type Response struct {
 	s      *system
 	xp, xh []float64
@@ -73,24 +76,25 @@ func (ss *Session) Response(ctx context.Context, power *mesh.Field2D) (*Response
 }
 
 // combine writes T = T_in + load·Xp + heat·Xh into the reused buffer.
-func (r *Response) combine(load, heat float64) []float64 {
+func (r *Response) combine(inletT, load, heat float64) []float64 {
 	for i := range r.x {
-		r.x[i] = r.s.inletT + load*r.xp[i] + heat*r.xh[i]
+		r.x[i] = inletT + load*r.xp[i] + heat*r.xh[i]
 	}
 	return r.x
 }
 
 // Summary returns the peak and mean temperatures of the steady state at
-// the given power-map scale and extra coolant heat (W), without
-// building the field maps. Its means equal Solution's bitwise.
-func (r *Response) Summary(load, heat float64) Summary {
-	return r.s.summarize(r.combine(load, heat))
+// the given inlet temperature (K), power-map scale and extra coolant
+// heat (W), without building the field maps. Its means equal
+// Solution's bitwise.
+func (r *Response) Summary(inletT, load, heat float64) Summary {
+	return r.s.summarize(r.combine(inletT, load, heat))
 }
 
-// Solution returns the full steady state at the given power-map scale
-// and extra coolant heat (W).
-func (r *Response) Solution(load, heat float64) *Solution {
-	sol := r.s.extract(r.combine(load, heat))
+// Solution returns the full steady state at the given inlet
+// temperature (K), power-map scale and extra coolant heat (W).
+func (r *Response) Solution(inletT, load, heat float64) *Solution {
+	sol := r.s.extract(r.combine(inletT, load, heat))
 	sol.TotalPower = load * r.powerW
 	return sol
 }
