@@ -92,7 +92,7 @@ func TestClusterEndToEnd(t *testing.T) {
 		"-addr", coordAddr,
 		"-health-interval", "200ms",
 		"-snapshot-interval", "300ms",
-		"-hedge-min", "500ms",
+		"-hedge-min", "100ms",
 		"-quota-rps", "0.2", "-quota-burst", "10",
 		"-request-timeout", "1m")
 	coordURL := "http://" + coordAddr
@@ -118,9 +118,10 @@ func TestClusterEndToEnd(t *testing.T) {
 		}
 	}
 
-	// --- Cold evaluate. The real solve takes ~1s, comfortably past the
-	// 500ms hedge delay, so the hedge fires and a second shard warms the
-	// same config — that shard is the natural failover target later.
+	// --- Cold evaluate. The real solve takes several hundred ms (about
+	// 0.5s on 2 vCPU), comfortably past the 100ms hedge delay, so the
+	// hedge fires and a second shard warms the same config — that shard
+	// is the natural failover target later.
 	var coldView sim.ReportView
 	postEvaluate(t, coordURL, "", pinnedBody, http.StatusOK, &coldView)
 	if coldView.PeakTempC <= coldView.Config.InletTempC {
@@ -128,7 +129,7 @@ func TestClusterEndToEnd(t *testing.T) {
 			coldView.PeakTempC, coldView.Config.InletTempC)
 	}
 	if got := metricValue(t, coordURL, "bright_cluster_hedges_total"); got < 1 {
-		t.Fatalf("hedges_total = %v after a ~1s cold solve with 500ms hedge delay", got)
+		t.Fatalf("hedges_total = %v after a ~0.5s cold solve with 100ms hedge delay", got)
 	}
 
 	// Warm repeat must be served from cache and agree exactly (the
@@ -329,7 +330,7 @@ func TestClusterUnpolledSweepRecovers(t *testing.T) {
 	coordURL := "http://" + coordAddr
 	waitHealthy(t, coordURL+"/healthz", 60*time.Second)
 
-	// Build the same ring the coordinator uses and pick three flows whose
+	// Build the same ring the coordinator uses and pick six flows whose
 	// chains all hash to one shard: a guaranteed-skewed placement.
 	ring, err := newRing(backendAddrs)
 	if err != nil {
@@ -345,18 +346,20 @@ func TestClusterUnpolledSweepRecovers(t *testing.T) {
 			t.Fatal("ring lookup failed with two alive backends")
 		}
 		perShard[addr] = append(perShard[addr], flow)
-		if len(perShard[addr]) == 3 {
+		if len(perShard[addr]) == 6 {
 			loadedAddr = addr
 			break
 		}
 	}
 	if loadedAddr == "" {
-		t.Fatal("no shard accumulated 3 chains from 190 candidate flows")
+		t.Fatal("no shard accumulated 6 chains from 190 candidate flows")
 	}
 	flows := perShard[loadedAddr]
 
-	// 3 chains x 2 loads = 6 points, all owned by one shard. Real solves
-	// take ~1s each, so the shard is still mid-sweep when it dies.
+	// 6 chains x 2 loads = 12 points, all owned by one shard. Each chain
+	// builds its own thermal response (about 0.3s on 2 vCPU) and the
+	// shard runs one chain at a time, so after its first solved point
+	// the shard still has over a second of work left when it dies.
 	flowsJSON, err := json.Marshal(flows)
 	if err != nil {
 		t.Fatal(err)
@@ -374,8 +377,8 @@ func TestClusterUnpolledSweepRecovers(t *testing.T) {
 	if err := json.Unmarshal(body, &accepted); err != nil {
 		t.Fatal(err)
 	}
-	if accepted.Total != 6 || accepted.Chains != 3 {
-		t.Fatalf("sweep accepted %d points in %d chains, want 6 in 3", accepted.Total, accepted.Chains)
+	if accepted.Total != 12 || accepted.Chains != 6 {
+		t.Fatalf("sweep accepted %d points in %d chains, want 12 in 6", accepted.Total, accepted.Chains)
 	}
 
 	loadedURL := "http://" + loadedAddr
@@ -412,8 +415,8 @@ func TestClusterUnpolledSweepRecovers(t *testing.T) {
 
 	var view sim.JobView
 	getJSONURL(t, coordURL+"/v1/jobs/"+accepted.JobID, &view)
-	if view.State != sim.JobDone || view.Completed != 6 || view.Failed != 0 {
-		t.Fatalf("sweep finished %s with %d/6 points (%d failed)", view.State, view.Completed, view.Failed)
+	if view.State != sim.JobDone || view.Completed != 12 || view.Failed != 0 {
+		t.Fatalf("sweep finished %s with %d/12 points (%d failed)", view.State, view.Completed, view.Failed)
 	}
 	for i, res := range view.Results {
 		if res.Index != i || res.Report == nil || res.Error != "" {

@@ -3,6 +3,8 @@ package experiments
 import (
 	"math"
 	"testing"
+
+	"bright/internal/obs"
 )
 
 func TestFig3ValidationWithinTenPercent(t *testing.T) {
@@ -194,10 +196,19 @@ func TestS3NominalGain(t *testing.T) {
 	}
 }
 
+// TestS4HotOperation checks both hot-operation readings against the
+// paper's band, and that the study pays 4 cold thermal unit-response
+// solves: two for the 48 ml/min runner, two for the one 676 ml/min
+// runner its 27 C and 37 C runs share.
 func TestS4HotOperation(t *testing.T) {
+	cold := obs.Default.Counter("bright_thermal_session_solves_total", "", obs.L("warm", "false"))
+	before := cold.Value()
 	res, err := S4HotOperation()
 	if err != nil {
 		t.Fatal(err)
+	}
+	if got := cold.Value() - before; got != 4 {
+		t.Errorf("S4HotOperation paid %d cold thermal solves, want 4", got)
 	}
 	// Paper: "up to 23%". Accept a generous band around it for the
 	// low-flow case; the hot-inlet reading lands lower.

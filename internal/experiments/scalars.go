@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"bright/internal/cosim"
 	"bright/internal/floorplan"
 	"bright/internal/flowcell"
@@ -128,7 +130,10 @@ type S4Result struct {
 	PaperGainPct float64
 }
 
-// S4HotOperation evaluates both hot-operation readings.
+// S4HotOperation evaluates both hot-operation readings. The 676 ml/min
+// runs at 27 C and 37 C share one runner: the thermal operator and its
+// unit responses depend on the flow alone, so the hot-inlet run reuses
+// the nominal run's response and warm-starts from its converged state.
 func S4HotOperation() (*S4Result, error) {
 	low, err := cosim.CouplingGain(cosim.Config{
 		TotalFlowMLMin: 48, InletTempC: 27, TerminalVoltage: 1.0,
@@ -136,14 +141,18 @@ func S4HotOperation() (*S4Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	hot, err := cosim.Run(cosim.Config{
-		TotalFlowMLMin: 676, InletTempC: 37, TerminalVoltage: 1.0,
+	r, err := cosim.NewRunner(676, 27)
+	if err != nil {
+		return nil, err
+	}
+	nom, err := r.RunContext(context.Background(), cosim.Config{
+		TotalFlowMLMin: 676, InletTempC: 27, TerminalVoltage: 1.0,
 	})
 	if err != nil {
 		return nil, err
 	}
-	nom, err := cosim.Run(cosim.Config{
-		TotalFlowMLMin: 676, InletTempC: 27, TerminalVoltage: 1.0,
+	hot, err := r.RunContext(context.Background(), cosim.Config{
+		TotalFlowMLMin: 676, InletTempC: 37, TerminalVoltage: 1.0,
 	})
 	if err != nil {
 		return nil, err

@@ -265,9 +265,10 @@ func BiCGSTABWith(a *CSR, b, x []float64, opt IterOptions, ws *Workspace) (IterR
 	return IterResult{opt.MaxIter, res}, fmt.Errorf("%w: BiCGSTAB after %d iters, residual %.3e", ErrMaxIter, opt.MaxIter, res)
 }
 
-// SolveSparse is a convenience wrapper: it chooses CG with a Jacobi
-// preconditioner when the matrix is symmetric, BiCGSTAB otherwise, and
-// returns the solution in a fresh slice. Both the CG attempt and the
+// SolveSparse is a convenience wrapper: it chooses CG when the matrix
+// is symmetric, BiCGSTAB otherwise, each with the preconditioner the
+// solver rule picks (see NewSparseSolverSymmetric), and returns the
+// solution in a fresh slice. Both the CG attempt and the
 // indefinite-matrix fallback to BiCGSTAB run through one SparseSolver,
 // so the symmetry scan and the preconditioner are paid exactly once;
 // callers solving repeatedly against the same matrix should hold a

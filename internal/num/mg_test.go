@@ -2,6 +2,7 @@ package num
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -199,8 +200,8 @@ func TestMGApplyZeroAlloc(t *testing.T) {
 
 // TestPrecondPolicy pins the preconditioner rule as a table over what
 // the operator shows: multigrid only for a symmetric operator of at
-// least MGAutoThreshold rows whose grid the shape covers, Jacobi for
-// every other combination.
+// least MGAutoThreshold rows whose grid the shape covers, ILU(0) for
+// every nonsymmetric operator, Jacobi for every other combination.
 func TestPrecondPolicy(t *testing.T) {
 	small := laplacian2D(16) // 256 unknowns < MGAutoThreshold
 	large := laplacian2D(64) // 4096 unknowns >= MGAutoThreshold
@@ -212,29 +213,29 @@ func TestPrecondPolicy(t *testing.T) {
 		a         *CSR
 		symmetric bool
 		shape     *GridShape
-		wantMG    bool
+		want      string
 	}{
-		{"large/sym/shape", large, true, largeShape, true},
-		{"large/sym/no-shape", large, true, nil, false},
-		{"large/sym/mismatched-shape", large, true, wrongShape, false},
-		{"large/nonsym/shape", large, false, largeShape, false},
-		{"small/sym/shape", small, true, smallShape, false},
-		{"small/sym/no-shape", small, true, nil, false},
-		{"small/nonsym/no-shape", small, false, nil, false},
+		{"large/sym/shape", large, true, largeShape, "mg"},
+		{"large/sym/no-shape", large, true, nil, "jacobi"},
+		{"large/sym/mismatched-shape", large, true, wrongShape, "jacobi"},
+		{"large/nonsym/shape", large, false, largeShape, "ilu0"},
+		{"small/sym/shape", small, true, smallShape, "jacobi"},
+		{"small/sym/no-shape", small, true, nil, "jacobi"},
+		{"small/nonsym/no-shape", small, false, nil, "ilu0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pre := NewSparseSolverSymmetric(tc.a, tc.symmetric, IterOptions{Shape: tc.shape}).Precond()
+			got := fmt.Sprintf("%T", pre)
 			switch pre.(type) {
 			case *Multigrid:
-				if !tc.wantMG {
-					t.Fatal("resolved to multigrid, want Jacobi")
-				}
+				got = "mg"
+			case *ILU0:
+				got = "ilu0"
 			case *JacobiPreconditioner:
-				if tc.wantMG {
-					t.Fatal("resolved to Jacobi, want multigrid")
-				}
-			default:
-				t.Fatalf("resolved to %T", pre)
+				got = "jacobi"
+			}
+			if got != tc.want {
+				t.Fatalf("resolved to %s, want %s", got, tc.want)
 			}
 		})
 	}

@@ -7,20 +7,31 @@ import "bright/internal/obs"
 // Below it, Jacobi solves finish before MG setup would pay for itself.
 const MGAutoThreshold = 4096
 
-var mgSetupFallbacks = obs.Default.Counter("bright_mg_setup_fallbacks_total",
-	"Multigrid setups that failed and fell back to Jacobi.")
+var (
+	mgSetupFallbacks = obs.Default.Counter("bright_mg_setup_fallbacks_total",
+		"Multigrid setups that failed and fell back to Jacobi.")
+	iluSetupFallbacks = obs.Default.Counter("bright_ilu_setup_fallbacks_total",
+		"ILU(0) factorizations that failed and fell back to Jacobi.")
+)
 
 // buildPrecond picks the preconditioner from what the operator shows:
 // geometric multigrid when a is symmetric, has at least MGAutoThreshold
-// rows and shape describes its grid; Jacobi otherwise. Multigrid setup
-// failure degrades to Jacobi rather than failing the solver build: the
-// result is always usable, just possibly slower.
+// rows and shape describes its grid; ILU(0) when a is nonsymmetric;
+// Jacobi otherwise. A multigrid setup or ILU(0) factorization failure
+// degrades to Jacobi rather than failing the solver build: the result
+// is always usable, just possibly slower.
 func buildPrecond(a *CSR, symmetric bool, shape *GridShape) Preconditioner {
-	if symmetric && a.Rows >= MGAutoThreshold && shape != nil && shape.covers(a) {
+	switch {
+	case symmetric && a.Rows >= MGAutoThreshold && shape != nil && shape.covers(a):
 		if m, err := NewGMG(a, *shape); err == nil {
 			return m
 		}
 		mgSetupFallbacks.Inc()
+	case !symmetric:
+		if f, err := NewILU0(a); err == nil {
+			return f
+		}
+		iluSetupFallbacks.Inc()
 	}
 	return NewJacobi(a)
 }

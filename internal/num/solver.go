@@ -35,8 +35,9 @@ var (
 
 // SparseSolver binds an iterative method to one matrix and caches
 // everything that only depends on its sparsity pattern and values: the
-// symmetry decision (CG vs BiCGSTAB), the Jacobi preconditioner, and
-// the Krylov scratch workspace. Repeated solves against the same matrix
+// symmetry decision (CG vs BiCGSTAB), the preconditioner the solver
+// rule picks (see NewSparseSolverSymmetric), and the Krylov scratch
+// workspace. Repeated solves against the same matrix
 // — the co-simulation fixed-point loop, transient time stepping,
 // parameter sweeps — pay none of that per call, and the steady-state
 // solve loop is allocation-free.
@@ -76,8 +77,8 @@ func NewSparseSolver(a *CSR, opt IterOptions) *SparseSolver {
 // alone: a gets the SELL-C-σ mirror when it has at least 4096 rows and
 // pads by at most 25%, and unless opt.M is set the preconditioner is
 // geometric multigrid for a symmetric operator of at least
-// MGAutoThreshold rows whose grid opt.Shape describes, Jacobi
-// otherwise.
+// MGAutoThreshold rows whose grid opt.Shape describes, ILU(0) for a
+// nonsymmetric operator (the thermal networks), Jacobi otherwise.
 func NewSparseSolverSymmetric(a *CSR, symmetric bool, opt IterOptions) *SparseSolver {
 	a.ensureFormat()
 	s := &SparseSolver{a: a, sym: symmetric, opt: opt}

@@ -209,6 +209,24 @@ func TestKrylovWorkspaceZeroAlloc(t *testing.T) {
 		t.Fatalf("MG-preconditioned CGWith allocates %.1f per solve, want 0", allocs)
 	}
 
+	// Same contract with ILU(0), the rule's choice for nonsymmetric
+	// operators: factorization may allocate, BiCGSTAB's steady-state
+	// loop with its forward/back sweeps must not.
+	ilu, err := NewILU0(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.M = ilu
+	allocs = testing.AllocsPerRun(20, func() {
+		Fill(x, 0)
+		if _, err := BiCGSTABWith(a, b, x, opt, ws); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("ILU(0)-preconditioned BiCGSTABWith allocates %.1f per solve, want 0", allocs)
+	}
+
 	// Block solver: warm solves through a reused BlockWorkspace must not
 	// allocate (PerRHS is workspace-backed).
 	const k = 4

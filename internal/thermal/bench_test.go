@@ -1,9 +1,11 @@
 package thermal
 
 import (
+	"context"
 	"testing"
 
 	"bright/internal/floorplan"
+	"bright/internal/num"
 	"bright/internal/units"
 )
 
@@ -47,5 +49,41 @@ func BenchmarkSessionWarm(b *testing.B) {
 		if _, err := ses.Solve(nil, heats[i%len(heats)]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkThermalResponse is the cold evaluate's dominant stage: the
+// preconditioner build plus the two unit-response solves from zero, on
+// the full-size 676 ml/min operator, as a /jacobi vs /ilu0 pair (ILU(0)
+// is the solver rule's choice for this nonsymmetric operator; Jacobi is
+// what it replaced). `make bench-compare` gates the pair's wall clock
+// at ≥ 1.0x.
+func BenchmarkThermalResponse(b *testing.B) {
+	ses, err := NewSession(Power7Problem(676, units.CtoK(27), 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := ses.solver.Matrix()
+	for _, pc := range []struct {
+		name  string
+		build func() (num.Preconditioner, error)
+	}{
+		{"jacobi", func() (num.Preconditioner, error) { return num.NewJacobi(a), nil }},
+		{"ilu0", func() (num.Preconditioner, error) { return num.NewILU0(a) }},
+	} {
+		b.Run(pc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m, err := pc.build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				ses.solver = num.NewSparseSolverSymmetric(a, false, num.IterOptions{Tol: 1e-10, M: m})
+				if _, err := ses.Response(context.Background(), nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(ses.LastIterations()), "iters")
+		})
 	}
 }

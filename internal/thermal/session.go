@@ -20,12 +20,13 @@ var (
 )
 
 // Session caches one assembled steady-state thermal system — the FV
-// network matrix, its Jacobi preconditioner and the Krylov workspace —
-// for repeated solves where only the right-hand side changes: a new
-// power map, a new electrochemical loss heat, or both. Solve re-solves
-// for an arbitrary power map, warm-starting from the previous call's
-// temperature field; when the power map only scales, Response answers
-// every (load, heat) pair from two solves (the co-simulation's case).
+// network matrix, its ILU(0) preconditioner (the solver rule's choice
+// for a nonsymmetric operator) and the Krylov workspace — for repeated
+// solves where only the right-hand side changes: a new power map, a new
+// electrochemical loss heat, or both. Solve re-solves for an arbitrary
+// power map, warm-starting from the previous call's temperature field;
+// when the power map only scales, Response answers every (load, heat)
+// pair from two solves (the co-simulation's case).
 //
 // Warm-start contract: the cached matrix and guess are valid only while
 // the Problem's geometry, stack, channel spec, grid resolution and flow
@@ -38,9 +39,14 @@ type Session struct {
 	p      *Problem
 	s      *system
 	solver *num.SparseSolver
-	x      []float64
-	warm   bool
-	last   num.IterResult
+	// x is the warm-start field: the displacement from the uniform
+	// inlet temperature, which the inlet baseline alone holds at zero
+	// (see Response). t is x + T_in, the field extract reads, sized on
+	// the first Solve (a Session used only through Response never
+	// needs it).
+	x, t []float64
+	warm bool
+	last num.IterResult
 }
 
 // NewSession assembles the problem once and prepares the cached solver.
@@ -66,7 +72,6 @@ func NewSession(p *Problem) (*Session, error) {
 		solver: num.NewSparseSolverSymmetric(a, false, num.IterOptions{Tol: 1e-10}),
 		x:      make([]float64, s.n),
 	}
-	num.Fill(ses.x, s.inletT)
 	return ses, nil
 }
 
@@ -78,7 +83,11 @@ func (ss *Session) Solve(power *mesh.Field2D, extraFluidHeat float64) (*Solution
 }
 
 // SolveContext is Solve with cancellation, checked before the linear
-// solve starts.
+// solve starts. Like Response it solves for the displacement from the
+// uniform inlet field, so the solver's relative tolerance scales with
+// the power and coolant heat alone, not with the inlet baseline (which
+// would loosen it by the ~300 K inlet temperature times the advection
+// conductance).
 func (ss *Session) SolveContext(ctx context.Context, power *mesh.Field2D, extraFluidHeat float64) (*Solution, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -89,7 +98,7 @@ func (ss *Session) SolveContext(ctx context.Context, power *mesh.Field2D, extraF
 	if extraFluidHeat < 0 {
 		return nil, fmt.Errorf("thermal: negative extra fluid heat %g", extraFluidHeat)
 	}
-	b, err := ss.s.rhsWithPower(power, extraFluidHeat)
+	b, err := ss.s.rhsWithPower(nil, power, extraFluidHeat)
 	if err != nil {
 		return nil, err
 	}
@@ -102,12 +111,18 @@ func (ss *Session) SolveContext(ctx context.Context, power *mesh.Field2D, extraF
 	ss.last = res
 	if err != nil {
 		// Do not let a failed iterate poison the next warm start.
-		num.Fill(ss.x, ss.s.inletT)
+		num.Fill(ss.x, 0)
 		ss.warm = false
 		return nil, fmt.Errorf("thermal: session solve failed: %w", err)
 	}
 	ss.warm = true
-	return ss.s.extract(ss.x), nil
+	if ss.t == nil {
+		ss.t = make([]float64, len(ss.x))
+	}
+	for i, d := range ss.x {
+		ss.t[i] = ss.s.inletT + d
+	}
+	return ss.s.extract(ss.t), nil
 }
 
 // LastIterations reports the Krylov iteration count of the most recent

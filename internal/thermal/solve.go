@@ -85,13 +85,15 @@ type system struct {
 	reversed func(i int) bool
 }
 
-// rhsWithPower returns the full right-hand side for the given power
-// field: the baseline (advection) plus the chip power deposited into
+// rhsWithPower returns the right-hand side for the given power field:
+// base (s.b, the inlet advection baseline, for the temperature itself;
+// nil for the displacement from the uniform inlet field, which the
+// baseline alone holds at zero) plus the chip power deposited into
 // every heat-source layer and extraFluidHeat (W) spread uniformly over
 // all fluid nodes. It also records the integrated power in
 // s.totalPower. The returned slice is an internal buffer, valid until
 // the next rhsWithPower call — copy it to keep it.
-func (s *system) rhsWithPower(power *mesh.Field2D, extraFluidHeat float64) ([]float64, error) {
+func (s *system) rhsWithPower(base []float64, power *mesh.Field2D, extraFluidHeat float64) ([]float64, error) {
 	if err := s.checkPowerGrid(power); err != nil {
 		return nil, err
 	}
@@ -99,7 +101,8 @@ func (s *system) rhsWithPower(power *mesh.Field2D, extraFluidHeat float64) ([]fl
 		s.rhs = make([]float64, s.n)
 	}
 	b := s.rhs
-	copy(b, s.b)
+	clear(b)
+	copy(b, base)
 	s.addFluidHeat(b, extraFluidHeat)
 	s.totalPower = s.addPower(b, power)
 	return b, nil
@@ -400,7 +403,7 @@ func solveOnce(p *Problem, layerT, x0 []float64) (*system, []float64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	b, err := s.rhsWithPower(p.Power, p.ExtraFluidHeat)
+	b, err := s.rhsWithPower(s.b, p.Power, p.ExtraFluidHeat)
 	if err != nil {
 		return nil, nil, err
 	}

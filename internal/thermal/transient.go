@@ -177,7 +177,7 @@ func (ts *TransientSession) StepContext(ctx context.Context, power *mesh.Field2D
 	if extraFluidHeat < 0 {
 		return nil, fmt.Errorf("thermal: negative extra fluid heat %g", extraFluidHeat)
 	}
-	base, err := ts.s.rhsWithPower(power, extraFluidHeat)
+	base, err := ts.s.rhsWithPower(ts.s.b, power, extraFluidHeat)
 	if err != nil {
 		return nil, fmt.Errorf("thermal: transient step %d: %w", ts.step+1, err)
 	}
