@@ -87,8 +87,9 @@ test-short:
 # arbitrary JSON at the snapshot-restore path brightd exposes over PUT
 # /v1/cache/snapshot; FuzzSweepChains pins the sweep chain partition
 # (one chain per flow; the chains' grids concatenate to exactly
-# Grid()). Longer runs: bump
-# FUZZTIME.
+# Grid()); FuzzCOOToCSR pins sparse assembly (the CSR equals a dense
+# accumulation of the stamps in stamp order, bitwise, with strictly
+# ascending columns per row). Longer runs: bump FUZZTIME.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzCanonicalKey -fuzztime $(FUZZTIME) ./internal/core
@@ -96,6 +97,7 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzCacheSnapshotRestore -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzSweepChains -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzSELLRoundTrip -fuzztime $(FUZZTIME) ./internal/num
+	$(GO) test -run xxx -fuzz FuzzCOOToCSR -fuzztime $(FUZZTIME) ./internal/num
 
 # Full benchmark sweep over the numeric kernels, the thermal solver,
 # the serving engine and the streaming-session stepper, folded into a

@@ -392,3 +392,67 @@ func BenchmarkSpMV512x512(b *testing.B) { benchSpMV(b, laplacian2D(512)) }
 // inter-tier microchannel coupling), the anisotropic 7-point stencil
 // from the through-chip-microchannel scenario.
 func BenchmarkSpMVStack128x4(b *testing.B) { benchSpMV(b, stack3D(128, 128, 4, 6)) }
+
+// thermalStampPattern stamps the steady thermal network's pattern in
+// its assembly order: an nx x ny x nz solid grid with two-sided
+// conductance stamps per neighbour pair, then one fluid layer coupled
+// to the top solid layer with upwind advection along y. At 88x64x4 it
+// is the Power7 single-cavity operator's 273 448 stamps.
+func thermalStampPattern(nx, ny, nz int) *COO {
+	n := nx*ny*nz + nx*ny
+	c := NewCOO(n, n)
+	sIdx := func(i, j, k int) int { return (k*ny+j)*nx + i }
+	fIdx := func(i, j int) int { return nx*ny*nz + j*nx + i }
+	stamp := func(a, b int, g float64) {
+		c.Add(a, a, g)
+		c.Add(a, b, -g)
+	}
+	for k := 0; k < nz; k++ {
+		for j := 0; j < ny; j++ {
+			for i := 0; i < nx; i++ {
+				row := sIdx(i, j, k)
+				g := 1 + float64(k)/3
+				if i < nx-1 {
+					stamp(row, sIdx(i+1, j, k), g)
+					stamp(sIdx(i+1, j, k), row, g)
+				}
+				if j < ny-1 {
+					stamp(row, sIdx(i, j+1, k), g)
+					stamp(sIdx(i, j+1, k), row, g)
+				}
+				if k < nz-1 {
+					stamp(row, sIdx(i, j, k+1), 7*g)
+					stamp(sIdx(i, j, k+1), row, 7*g)
+				}
+			}
+		}
+	}
+	for j := 0; j < ny; j++ {
+		for i := 0; i < nx; i++ {
+			f, w := fIdx(i, j), sIdx(i, j, nz-2)
+			stamp(w, f, 0.5)
+			c.Add(f, f, 0.5+0.25)
+			c.Add(f, w, -0.5)
+			if j > 0 {
+				c.Add(f, fIdx(i, j-1), -0.25)
+			}
+		}
+	}
+	return c
+}
+
+// BenchmarkCOOToCSR converts the Power7 thermal stamp pattern (273 448
+// stamps, 28 160 rows), the set-up step every cold evaluate pays.
+func BenchmarkCOOToCSR(b *testing.B) {
+	c := thermalStampPattern(88, 64, 4)
+	if c.NNZ() != 273448 {
+		b.Fatalf("pattern has %d stamps, want 273448", c.NNZ())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchCSR = c.ToCSR()
+	}
+}
+
+var benchCSR *CSR

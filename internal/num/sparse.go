@@ -1,23 +1,26 @@
 package num
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"sync/atomic"
 )
 
 // COO is a coordinate-format sparse matrix builder. Duplicate entries are
 // summed when converting to CSR, which makes it convenient for
-// finite-volume / nodal-analysis stamping.
+// finite-volume / nodal-analysis stamping. Stamp coordinates are stored
+// as int32, halving the triplets' index memory.
 type COO struct {
 	Rows, Cols int
-	ri, ci     []int
+	ri, ci     []int32
 	v          []float64
 }
 
 // NewCOO returns an empty COO builder of the given shape.
 func NewCOO(rows, cols int) *COO {
-	if rows <= 0 || cols <= 0 {
+	if rows <= 0 || cols <= 0 || rows > math.MaxInt32 || cols > math.MaxInt32 {
 		panic(fmt.Sprintf("num: invalid sparse shape %dx%d", rows, cols))
 	}
 	return &COO{Rows: rows, Cols: cols}
@@ -31,46 +34,103 @@ func (c *COO) Add(i, j int, v float64) {
 	if v == 0 {
 		return
 	}
-	c.ri = append(c.ri, i)
-	c.ci = append(c.ci, j)
+	c.ri = append(c.ri, int32(i))
+	c.ci = append(c.ci, int32(j))
 	c.v = append(c.v, v)
 }
 
 // NNZ returns the number of raw (pre-deduplication) stamps.
 func (c *COO) NNZ() int { return len(c.v) }
 
+// Grow reserves room for k more stamps, like slices.Grow: a builder
+// whose caller knows its stamp count up front fills it without
+// regrowing the triplet slices.
+func (c *COO) Grow(k int) {
+	c.ri = slices.Grow(c.ri, k)
+	c.ci = slices.Grow(c.ci, k)
+	c.v = slices.Grow(c.v, k)
+}
+
+// Cap returns the number of stamps the builder holds without growing.
+func (c *COO) Cap() int { return min(cap(c.ri), cap(c.ci), cap(c.v)) }
+
 // ToCSR converts the builder into compressed-sparse-row form, merging
-// duplicate entries.
+// duplicate entries. The conversion is linear in the stamp count for
+// short rows: a counting sort scatters the stamps into per-row buckets
+// in stamp order, each bucket is sorted by column (stably), and
+// duplicates are summed in stamp order, so the result equals a dense
+// accumulation of the stamps in the order they were added, bitwise.
+// Columns strictly ascend within each row.
 func (c *COO) ToCSR() *CSR {
 	n := len(c.v)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("num: %d COO stamps exceed int32 indexing", n))
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		if c.ri[ia] != c.ri[ib] {
-			return c.ri[ia] < c.ri[ib]
-		}
-		return c.ci[ia] < c.ci[ib]
-	})
+	// start[r] is the first slot of row r's bucket in perm.
+	start := make([]int, c.Rows+1)
+	for _, r := range c.ri {
+		start[r+1]++
+	}
+	for r := 0; r < c.Rows; r++ {
+		start[r+1] += start[r]
+	}
+	perm := make([]int32, n)
+	next := slices.Clone(start[:c.Rows])
+	for k, r := range c.ri {
+		perm[next[r]] = int32(k)
+		next[r]++
+	}
 	m := &CSR{Rows: c.Rows, Cols: c.Cols, RowPtr: make([]int, c.Rows+1)}
-	lastR, lastC := -1, -1
-	for _, k := range idx {
-		r, col, val := c.ri[k], c.ci[k], c.v[k]
-		if r == lastR && col == lastC {
-			m.Val[len(m.Val)-1] += val
-			continue
+	for r := 0; r < c.Rows; r++ {
+		bucket := perm[start[r]:start[r+1]]
+		c.sortByColumn(bucket)
+		distinct := 0
+		for t, k := range bucket {
+			if t == 0 || c.ci[k] != c.ci[bucket[t-1]] {
+				distinct++
+			}
 		}
-		m.ColIdx = append(m.ColIdx, col)
-		m.Val = append(m.Val, val)
-		lastR, lastC = r, col
-		m.RowPtr[r+1]++
+		m.RowPtr[r+1] = m.RowPtr[r] + distinct
 	}
-	for i := 0; i < c.Rows; i++ {
-		m.RowPtr[i+1] += m.RowPtr[i]
+	m.ColIdx = make([]int, m.RowPtr[c.Rows])
+	m.Val = make([]float64, m.RowPtr[c.Rows])
+	out := -1
+	for r := 0; r < c.Rows; r++ {
+		bucket := perm[start[r]:start[r+1]]
+		for t, k := range bucket {
+			if t > 0 && c.ci[k] == c.ci[bucket[t-1]] {
+				m.Val[out] += c.v[k]
+				continue
+			}
+			out++
+			m.ColIdx[out] = int(c.ci[k])
+			m.Val[out] = c.v[k]
+		}
 	}
 	return m
+}
+
+// insertionSortMax is the bucket length up to which sortByColumn uses
+// insertion sort; finite-volume and nodal stencils stay well below it,
+// and a longer (dense-ish) row falls back to an O(k log k) stable sort.
+const insertionSortMax = 32
+
+// sortByColumn stably sorts a row bucket of stamp indices by column,
+// so equal columns keep stamp order.
+func (c *COO) sortByColumn(bucket []int32) {
+	if len(bucket) > insertionSortMax {
+		slices.SortStableFunc(bucket, func(a, b int32) int { return cmp.Compare(c.ci[a], c.ci[b]) })
+		return
+	}
+	for t := 1; t < len(bucket); t++ {
+		k := bucket[t]
+		col := c.ci[k]
+		u := t
+		for ; u > 0 && c.ci[bucket[u-1]] > col; u-- {
+			bucket[u] = bucket[u-1]
+		}
+		bucket[u] = k
+	}
 }
 
 // CSR is a compressed-sparse-row matrix.

@@ -1,10 +1,130 @@
 package num
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 )
+
+// stamp is one COO triplet.
+type stamp struct {
+	i, j int
+	v    float64
+}
+
+// checkToCSR converts the stamps and checks the CSR against a dense
+// accumulation done in stamp order, bitwise, plus the structural
+// invariants: RowPtr monotone from 0 to NNZ, columns strictly ascending
+// within each row (so NewILU0 never reports ErrILUPattern), and NNZ
+// equal to the number of distinct positions that received a nonzero
+// stamp.
+func checkToCSR(t *testing.T, rows, cols int, stamps []stamp) {
+	t.Helper()
+	c := NewCOO(rows, cols)
+	dense := make([]float64, rows*cols)
+	distinct := map[[2]int]bool{}
+	for _, s := range stamps {
+		c.Add(s.i, s.j, s.v)
+		dense[s.i*cols+s.j] += s.v
+		if s.v != 0 {
+			distinct[[2]int{s.i, s.j}] = true
+		}
+	}
+	m := c.ToCSR()
+	if m.Rows != rows || m.Cols != cols {
+		t.Fatalf("shape %dx%d, want %dx%d", m.Rows, m.Cols, rows, cols)
+	}
+	if len(m.RowPtr) != rows+1 || m.RowPtr[0] != 0 || m.RowPtr[rows] != m.NNZ() || len(m.ColIdx) != m.NNZ() {
+		t.Fatalf("RowPtr %v inconsistent with NNZ %d (len ColIdx %d)", m.RowPtr, m.NNZ(), len(m.ColIdx))
+	}
+	if m.NNZ() != len(distinct) {
+		t.Fatalf("NNZ = %d, want %d distinct positions", m.NNZ(), len(distinct))
+	}
+	got := make([]float64, rows*cols)
+	for i := 0; i < rows; i++ {
+		if m.RowPtr[i+1] < m.RowPtr[i] {
+			t.Fatalf("RowPtr not monotone at row %d: %v", i, m.RowPtr)
+		}
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			if k > m.RowPtr[i] && m.ColIdx[k] <= m.ColIdx[k-1] {
+				t.Fatalf("row %d: columns not strictly ascending: %v", i, m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]])
+			}
+			got[i*cols+m.ColIdx[k]] = m.Val[k]
+		}
+	}
+	for p := range dense {
+		if math.Float64bits(got[p]) != math.Float64bits(dense[p]) {
+			t.Fatalf("entry (%d,%d) = %v, dense accumulation %v", p/cols, p%cols, got[p], dense[p])
+		}
+	}
+	if rows == cols {
+		if _, err := NewILU0(m); errors.Is(err, ErrILUPattern) {
+			t.Fatalf("NewILU0 rejected the pattern: %v", err)
+		}
+	}
+}
+
+func TestCOOToCSRTable(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		rows, cols int
+		stamps     []stamp
+	}{
+		{"empty builder", 3, 4, nil},
+		{"only zero stamps", 2, 2, []stamp{{0, 0, 0}, {1, 1, 0}}},
+		{"empty rows between", 5, 3, []stamp{{1, 2, 1}, {1, 0, 2}, {4, 1, 3}}},
+		{"descending columns", 1, 6, []stamp{{0, 5, 1}, {0, 4, 2}, {0, 3, 3}, {0, 0, 4}}},
+		{"duplicates in stamp order", 2, 2, []stamp{{0, 0, 0.1}, {0, 0, 0.2}, {0, 0, 0.3}, {1, 1, 1e16}, {1, 1, 1}, {1, 1, -1e16}}},
+		{"cancelling duplicates keep the entry", 2, 2, []stamp{{0, 1, 2}, {0, 1, -2}, {1, 0, 1}}},
+		{"rows out of order", 4, 4, []stamp{{3, 3, 1}, {0, 0, 2}, {2, 1, 3}, {0, 3, 4}, {3, 0, 5}, {2, 1, 6}}},
+		{"long row", 2, 100, func() []stamp {
+			var s []stamp
+			for k := 0; k < 150; k++ {
+				s = append(s, stamp{0, (k * 37) % 100, float64(k%7) - 3})
+			}
+			return append(s, stamp{1, 1, 1})
+		}()},
+	} {
+		t.Run(tc.name, func(t *testing.T) { checkToCSR(t, tc.rows, tc.cols, tc.stamps) })
+	}
+}
+
+// FuzzCOOToCSR throws random shapes and stamp sequences (any order,
+// duplicates, zero values, empty rows) at ToCSR and checks it against a
+// dense accumulation in stamp order.
+func FuzzCOOToCSR(f *testing.F) {
+	f.Add(uint8(1), uint8(1), []byte{})
+	f.Add(uint8(4), uint8(4), []byte{3, 3, 1, 0, 0, 0, 3, 3, 255, 1, 2, 7})
+	f.Add(uint8(1), uint8(60), []byte{0, 50, 1, 0, 40, 2, 0, 30, 3, 0, 50, 4, 0, 20, 5})
+	f.Add(uint8(30), uint8(2), []byte{29, 1, 9, 0, 0, 9, 29, 1, 128})
+	f.Fuzz(func(t *testing.T, rows, cols uint8, data []byte) {
+		r := int(rows)%64 + 1
+		c := int(cols)%64 + 1
+		var stamps []stamp
+		for k := 0; k+2 < len(data); k += 3 {
+			// int8/7 spreads the values over inexact binary fractions,
+			// so a summation order change would show in the bits.
+			stamps = append(stamps, stamp{int(data[k]) % r, int(data[k+1]) % c, float64(int8(data[k+2])) / 7})
+		}
+		checkToCSR(t, r, c, stamps)
+	})
+}
+
+func TestCOOGrowReservesCapacity(t *testing.T) {
+	c := NewCOO(4, 4)
+	c.Grow(10)
+	capBefore := c.Cap()
+	if capBefore < 10 || c.NNZ() != 0 {
+		t.Fatalf("Grow(10): Cap %d NNZ %d", capBefore, c.NNZ())
+	}
+	for k := 0; k < 10; k++ {
+		c.Add(k%4, (k*3)%4, 1)
+	}
+	if c.Cap() != capBefore {
+		t.Fatalf("stamping within the reservation regrew: Cap %d -> %d", capBefore, c.Cap())
+	}
+}
 
 func TestCOOToCSR(t *testing.T) {
 	c := NewCOO(3, 3)

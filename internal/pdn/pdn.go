@@ -227,7 +227,10 @@ func NewSession(p *Problem) (*Session, error) {
 	}
 	g := p.grid()
 	n := g.NumCells()
+	l := newLayout(p, g)
 	co := num.NewCOO(n, n)
+	// Four stamps per laterally adjacent node pair, one per source.
+	co.Grow(4*((g.NX()-1)*g.NY()+g.NX()*(g.NY()-1)) + len(l.siteNodes))
 	// Mesh conductances: between laterally adjacent nodes,
 	// G = (w_perp / d) / Rs.
 	for j := 0; j < g.NY(); j++ {
@@ -253,7 +256,6 @@ func NewSession(p *Problem) (*Session, error) {
 	}
 	// Sources: conductance to the fixed supply (the supply level itself
 	// is RHS-only).
-	l := newLayout(p, g)
 	for k, node := range l.siteNodes {
 		co.Add(node, node, 1/p.Sites[k].Resistance)
 	}

@@ -87,3 +87,16 @@ func BenchmarkThermalResponse(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkNewSession is a cold evaluate's thermal set-up on the
+// full-size 676 ml/min operator: assemble the stamps, convert them to
+// CSR, attach the SELL-C-σ mirror and factor ILU(0).
+func BenchmarkNewSession(b *testing.B) {
+	p := Power7Problem(676, units.CtoK(27), 0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewSession(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

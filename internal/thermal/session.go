@@ -62,7 +62,7 @@ func NewSession(p *Problem) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := s.co.ToCSR()
+	a := s.toCSR()
 	ses := &Session{
 		p: p,
 		s: s,

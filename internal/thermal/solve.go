@@ -152,6 +152,25 @@ func (s *system) fIdx(c, i, j int) int {
 	return s.nx*s.ny*s.nz + (c*s.ny+j)*s.nx + i
 }
 
+// stampCount is the number of COO stamps assemble makes for an
+// nx x ny grid of nz solid layers and nCav channel cavities: four per
+// solid neighbour pair (two per direction of the conductance), and per
+// fluid node four for the wall coupling plus one for the upstream
+// advection (none at the inlet). Clogged columns skip their zero
+// advection stamps, so it is an upper bound.
+func stampCount(nx, ny, nz, nCav int) int {
+	solidPairs := nz*ny*(nx-1) + nz*(ny-1)*nx + (nz-1)*ny*nx
+	return 4*solidPairs + nCav*(4*nx*ny+nx*(ny-1))
+}
+
+// toCSR converts the assembled stamps and drops the builder, so a
+// long-lived session does not keep the triplets reachable.
+func (s *system) toCSR() *num.CSR {
+	a := s.co.ToCSR()
+	s.co = nil
+	return a
+}
+
 // assemble builds the steady-state network (conductances, sources,
 // advection) plus per-node heat capacities for the transient solver.
 // layerT optionally supplies per-layer temperatures (K) at which the
@@ -189,6 +208,7 @@ func assemble(p *Problem, layerT []float64) (*system, error) {
 		activeKs: activeKs, cavKs: cavKs,
 		inletT: p.Stack.Channels.InletTemperature,
 	}
+	s.co.Grow(stampCount(nx, ny, nz, len(cavKs)))
 	spec := p.Stack.Channels
 	phi := spec.FluidFraction()
 	layerTempOf := func(k int) float64 {
@@ -393,34 +413,44 @@ func (s *system) layerMeans(x []float64) []float64 {
 	return out
 }
 
-// solveOnce assembles at the given layer temperatures and solves. x0,
-// when sized to the system, seeds the Krylov iteration (warm start);
-// otherwise the solve starts from the uniform inlet temperature. The
-// advection coupling makes the network nonsymmetric, so the solver is
-// pinned to BiCGSTAB without paying a symmetry scan.
-func solveOnce(p *Problem, layerT, x0 []float64) (*system, []float64, error) {
+// solveOnce assembles at the given layer temperatures and solves for
+// the displacement from the uniform inlet field, which the inlet
+// baseline alone holds at zero (see Response): the solver's relative
+// tolerance then scales with the power and coolant heat, not with the
+// inlet temperature times the advection conductance. d0, a displacement
+// sized to the system, seeds the Krylov iteration (warm start);
+// otherwise the solve starts from zero. The advection coupling makes
+// the network nonsymmetric, so the solver is pinned to BiCGSTAB without
+// paying a symmetry scan.
+func solveOnce(p *Problem, layerT, d0 []float64) (*system, []float64, error) {
 	s, err := assemble(p, layerT)
 	if err != nil {
 		return nil, nil, err
 	}
-	b, err := s.rhsWithPower(s.b, p.Power, p.ExtraFluidHeat)
+	b, err := s.rhsWithPower(nil, p.Power, p.ExtraFluidHeat)
 	if err != nil {
 		return nil, nil, err
 	}
-	a := s.co.ToCSR()
-	x := make([]float64, s.n)
-	if len(x0) == s.n {
-		copy(x, x0)
-	} else {
-		num.Fill(x, s.inletT)
+	d := make([]float64, s.n)
+	if len(d0) == s.n {
+		copy(d, d0)
 	}
 	// MaxIter rides the capped default: exhaustion now surfaces as
 	// num.ErrMaxIter instead of burning 60*n iterations.
-	solver := num.NewSparseSolverSymmetric(a, false, num.IterOptions{Tol: 1e-10})
-	if _, err := solver.Solve(b, x); err != nil {
+	solver := num.NewSparseSolverSymmetric(s.toCSR(), false, num.IterOptions{Tol: 1e-10})
+	if _, err := solver.Solve(b, d); err != nil {
 		return nil, nil, fmt.Errorf("thermal: steady solve failed: %w", err)
 	}
-	return s, x, nil
+	return s, d, nil
+}
+
+// withInlet returns the temperature field T_in + d of a displacement.
+func (s *system) withInlet(d []float64) []float64 {
+	t := make([]float64, len(d))
+	for i, v := range d {
+		t[i] = s.inletT + v
+	}
+	return t
 }
 
 // Solve computes the steady-state temperature field, optionally with
@@ -436,30 +466,33 @@ func SolveContext(ctx context.Context, p *Problem) (*Solution, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s, x, err := solveOnce(p, nil, nil)
+	s, d, err := solveOnce(p, nil, nil)
 	if err != nil {
 		return nil, err
 	}
+	x := s.withInlet(d)
 	for iter := 0; iter < p.NonlinearTempIterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
 		layerT := s.layerMeans(x)
 		// Each conductivity update re-solves from the previous pass's
-		// field — the matrices differ only by the temperature-dependent
-		// conductivities, so the warm start is close.
-		s2, x2, err := solveOnce(p, layerT, x)
+		// displacement — the matrices differ only by the
+		// temperature-dependent conductivities, so the warm start is
+		// close.
+		s2, d2, err := solveOnce(p, layerT, d)
 		if err != nil {
 			return nil, err
 		}
+		x2 := s2.withInlet(d2)
 		newT := s2.layerMeans(x2)
 		maxD := 0.0
 		for k := range newT {
-			if d := math.Abs(newT[k] - layerT[k]); d > maxD {
-				maxD = d
+			if dt := math.Abs(newT[k] - layerT[k]); dt > maxD {
+				maxD = dt
 			}
 		}
-		s, x = s2, x2
+		s, d, x = s2, d2, x2
 		if maxD < 0.05 {
 			break
 		}

@@ -131,10 +131,11 @@ func NewTransientSession(p *Problem, t0, dt float64) (*TransientSession, error) 
 		return nil, err
 	}
 	// Add the capacitance terms to the diagonal.
+	s.co.Grow(len(s.cap))
 	for row, c := range s.cap {
 		s.co.Add(row, row, c/dt)
 	}
-	a := s.co.ToCSR()
+	a := s.toCSR()
 	// One cached solver for every step: the matrix is constant, so the
 	// preconditioner and Krylov workspace are built once, and each step
 	// warm-starts from the previous temperature field.

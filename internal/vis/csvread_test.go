@@ -50,7 +50,7 @@ func TestCSVMatrixRoundTrip(t *testing.T) {
 	f := mesh.NewField2D(g)
 	for j := 0; j < 3; j++ {
 		for i := 0; i < 4; i++ {
-			f.Set(i, j, float64(10*i+j))
+			f.Set(i, j, 300.15+float64(10*i+j)/7)
 		}
 	}
 	var b strings.Builder
@@ -68,10 +68,12 @@ func TestCSVMatrixRoundTrip(t *testing.T) {
 	if math.Abs(xs[0]-g.X.Centers[0]*1e3) > 1e-9 {
 		t.Fatalf("x scale: %g", xs[0])
 	}
+	// Values come back bitwise: the writer prints the shortest
+	// round-trip form, not a fixed number of digits.
 	for j := range ys {
 		for i := range xs {
-			if math.Abs(vals[j][i]-f.At(i, j)) > 1e-9 {
-				t.Fatalf("value (%d,%d): %g vs %g", i, j, vals[j][i], f.At(i, j))
+			if math.Float64bits(vals[j][i]) != math.Float64bits(f.At(i, j)) {
+				t.Fatalf("value (%d,%d): %v vs %v", i, j, vals[j][i], f.At(i, j))
 			}
 		}
 	}

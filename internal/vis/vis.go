@@ -7,6 +7,7 @@ package vis
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"bright/internal/mesh"
@@ -98,7 +99,9 @@ func ASCIIHeatmap(f *mesh.Field2D, opt HeatmapOptions) string {
 
 // WriteCSVMatrix writes a Field2D as CSV with x coordinates in the
 // header row and y coordinates in the first column (both in the given
-// unit scale factor, e.g. 1e3 for mm).
+// unit scale factor, e.g. 1e3 for mm). Every number is written in its
+// shortest round-trip form, so ReadCSVMatrix gets the values back
+// bitwise and CSVs from two runs compare at full precision.
 func WriteCSVMatrix(w io.Writer, f *mesh.Field2D, coordScale float64) error {
 	if coordScale == 0 {
 		coordScale = 1
@@ -107,16 +110,16 @@ func WriteCSVMatrix(w io.Writer, f *mesh.Field2D, coordScale float64) error {
 	cols := make([]string, 0, g.NX()+1)
 	cols = append(cols, "y\\x")
 	for i := 0; i < g.NX(); i++ {
-		cols = append(cols, fmt.Sprintf("%.6g", g.X.Centers[i]*coordScale))
+		cols = append(cols, strconv.FormatFloat(g.X.Centers[i]*coordScale, 'g', -1, 64))
 	}
 	if _, err := fmt.Fprintln(w, strings.Join(cols, ",")); err != nil {
 		return err
 	}
 	for j := 0; j < g.NY(); j++ {
 		cols = cols[:0]
-		cols = append(cols, fmt.Sprintf("%.6g", g.Y.Centers[j]*coordScale))
+		cols = append(cols, strconv.FormatFloat(g.Y.Centers[j]*coordScale, 'g', -1, 64))
 		for i := 0; i < g.NX(); i++ {
-			cols = append(cols, fmt.Sprintf("%.6g", f.At(i, j)))
+			cols = append(cols, strconv.FormatFloat(f.At(i, j), 'g', -1, 64))
 		}
 		if _, err := fmt.Fprintln(w, strings.Join(cols, ",")); err != nil {
 			return err
