@@ -208,7 +208,7 @@ func TestHTTPSolverErrorStatus(t *testing.T) {
 	}{
 		{"no-convergence", fmt.Errorf("core: co-simulation: %w",
 			fmt.Errorf("%w after 30 iterations", cosim.ErrNoConvergence)), http.StatusUnprocessableEntity},
-		{"krylov-max-iter", fmt.Errorf("thermal: steady solve failed: %w",
+		{"krylov-max-iter", fmt.Errorf("thermal: power response solve failed: %w",
 			fmt.Errorf("%w: CG after 4000 iters, residual 1.2e-05", num.ErrMaxIter)), http.StatusUnprocessableEntity},
 		{"solver-error", errors.New("flowcell: operating point beyond limit"), http.StatusBadRequest},
 		{"timeout", context.DeadlineExceeded, http.StatusGatewayTimeout},

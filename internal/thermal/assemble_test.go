@@ -42,7 +42,7 @@ func TestAssembleReservationHolds(t *testing.T) {
 		{"counterflow with a clogged column", cloggedCounterflow()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := assemble(tc.p, nil)
+			s, err := assemble(tc.p)
 			if err != nil {
 				t.Fatal(err)
 			}

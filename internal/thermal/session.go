@@ -11,7 +11,9 @@ import (
 
 // Session solve telemetry (process-wide; see internal/obs). The warm
 // label splits first solves from warm-started re-solves, making the
-// co-simulation's warm-start hit rate visible on /metrics.
+// co-simulation's warm-start hit rate visible on /metrics. A cold
+// thermal.Solve is a fresh session's first solve, so each one counts
+// one warm="false" solve, as does each of Response's two unit solves.
 var (
 	sessionSolvesWarm = obs.Default.Counter("bright_thermal_session_solves_total",
 		"Thermal session solves by warm-start state.", obs.L("warm", "true"))
@@ -50,15 +52,10 @@ type Session struct {
 }
 
 // NewSession assembles the problem once and prepares the cached solver.
-// The problem must be linear (NonlinearTempIterations == 0): the
-// temperature-dependent-conductivity path reassembles the matrix per
-// pass and cannot reuse one factorization-free setup.
+// It and NewTransientSession are the only places a thermal operator gets
+// a solver; the cold Solve is a NewSession plus one solve.
 func NewSession(p *Problem) (*Session, error) {
-	if p.NonlinearTempIterations != 0 {
-		return nil, fmt.Errorf("thermal: Session requires a linear problem (NonlinearTempIterations=0, got %d)",
-			p.NonlinearTempIterations)
-	}
-	s, err := assemble(p, nil)
+	s, err := assemble(p)
 	if err != nil {
 		return nil, err
 	}

@@ -77,16 +77,6 @@ func TestSessionWarmStartCutsIterations(t *testing.T) {
 	}
 }
 
-// TestSessionRejectsNonlinear: the temperature-dependent-conductivity
-// path reassembles per pass and cannot ride one cached matrix.
-func TestSessionRejectsNonlinear(t *testing.T) {
-	p := sessionTestProblem(0)
-	p.NonlinearTempIterations = 3
-	if _, err := NewSession(p); err == nil {
-		t.Fatal("NewSession accepted a nonlinear problem")
-	}
-}
-
 // TestSessionRejectsNegativeHeat mirrors Solve's validation.
 func TestSessionRejectsNegativeHeat(t *testing.T) {
 	ses, err := NewSession(sessionTestProblem(0))

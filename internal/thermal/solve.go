@@ -3,7 +3,6 @@ package thermal
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"bright/internal/mesh"
 	"bright/internal/num"
@@ -28,12 +27,6 @@ type Problem struct {
 	// NX, NY are the lateral grid resolution (defaults 88 x 64: one
 	// cell per channel pitch across, ~0.33 mm along flow).
 	NX, NY int
-	// NonlinearTempIterations enables temperature-dependent layer
-	// conductivities (Material.TempExponent): the steady solve is
-	// repeated with each layer's conductivity evaluated at its mean
-	// temperature until the layer temperatures settle, up to this many
-	// passes. 0 keeps the single linear solve at the 300 K reference.
-	NonlinearTempIterations int
 }
 
 // Grid returns the lateral solve grid.
@@ -173,9 +166,7 @@ func (s *system) toCSR() *num.CSR {
 
 // assemble builds the steady-state network (conductances, sources,
 // advection) plus per-node heat capacities for the transient solver.
-// layerT optionally supplies per-layer temperatures (K) at which the
-// layer conductivities are evaluated; nil uses the 300 K reference.
-func assemble(p *Problem, layerT []float64) (*system, error) {
+func assemble(p *Problem) (*system, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -211,15 +202,9 @@ func assemble(p *Problem, layerT []float64) (*system, error) {
 	s.co.Grow(stampCount(nx, ny, nz, len(cavKs)))
 	spec := p.Stack.Channels
 	phi := spec.FluidFraction()
-	layerTempOf := func(k int) float64 {
-		if layerT == nil || k >= len(layerT) {
-			return 0 // reference
-		}
-		return layerT[k]
-	}
 	kEff := func(k int) float64 {
 		l := layers[k]
-		kc := l.Material.ConductivityAt(layerTempOf(k))
+		kc := l.Material.Conductivity
 		if l.Kind == ChannelCavity {
 			return kc*(1-phi) + spec.Fluid.ThermalConductivity*phi
 		}
@@ -396,106 +381,21 @@ func (s *system) extract(x []float64) *Solution {
 	return sol
 }
 
-// layerMeans returns the mean temperature of each solid layer from a
-// raw solution vector.
-func (s *system) layerMeans(x []float64) []float64 {
-	out := make([]float64, s.nz)
-	cells := float64(s.nx * s.ny)
-	for k := 0; k < s.nz; k++ {
-		sum := 0.0
-		for j := 0; j < s.ny; j++ {
-			for i := 0; i < s.nx; i++ {
-				sum += x[s.sIdx(i, j, k)]
-			}
-		}
-		out[k] = sum / cells
-	}
-	return out
-}
-
-// solveOnce assembles at the given layer temperatures and solves for
-// the displacement from the uniform inlet field, which the inlet
-// baseline alone holds at zero (see Response): the solver's relative
-// tolerance then scales with the power and coolant heat, not with the
-// inlet temperature times the advection conductance. d0, a displacement
-// sized to the system, seeds the Krylov iteration (warm start);
-// otherwise the solve starts from zero. The advection coupling makes
-// the network nonsymmetric, so the solver is pinned to BiCGSTAB without
-// paying a symmetry scan.
-func solveOnce(p *Problem, layerT, d0 []float64) (*system, []float64, error) {
-	s, err := assemble(p, layerT)
-	if err != nil {
-		return nil, nil, err
-	}
-	b, err := s.rhsWithPower(nil, p.Power, p.ExtraFluidHeat)
-	if err != nil {
-		return nil, nil, err
-	}
-	d := make([]float64, s.n)
-	if len(d0) == s.n {
-		copy(d, d0)
-	}
-	// MaxIter rides the capped default: exhaustion now surfaces as
-	// num.ErrMaxIter instead of burning 60*n iterations.
-	solver := num.NewSparseSolverSymmetric(s.toCSR(), false, num.IterOptions{Tol: 1e-10})
-	if _, err := solver.Solve(b, d); err != nil {
-		return nil, nil, fmt.Errorf("thermal: steady solve failed: %w", err)
-	}
-	return s, d, nil
-}
-
-// withInlet returns the temperature field T_in + d of a displacement.
-func (s *system) withInlet(d []float64) []float64 {
-	t := make([]float64, len(d))
-	for i, v := range d {
-		t[i] = s.inletT + v
-	}
-	return t
-}
-
-// Solve computes the steady-state temperature field, optionally with
-// temperature-dependent layer conductivities (NonlinearTempIterations).
+// Solve computes the steady-state temperature field.
 func Solve(p *Problem) (*Solution, error) {
 	return SolveContext(context.Background(), p)
 }
 
-// SolveContext is Solve with cancellation: the context is checked before
-// the initial linear solve and at every nonlinear conductivity update,
-// so a canceled context aborts within one sparse solve.
+// SolveContext is Solve with cancellation, checked once before the
+// solve. It is a fresh Session's first solve from zero: the cold answer
+// and a session's are one code path.
 func SolveContext(ctx context.Context, p *Problem) (*Solution, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	s, d, err := solveOnce(p, nil, nil)
+	ses, err := NewSession(p)
 	if err != nil {
 		return nil, err
 	}
-	x := s.withInlet(d)
-	for iter := 0; iter < p.NonlinearTempIterations; iter++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		layerT := s.layerMeans(x)
-		// Each conductivity update re-solves from the previous pass's
-		// displacement — the matrices differ only by the
-		// temperature-dependent conductivities, so the warm start is
-		// close.
-		s2, d2, err := solveOnce(p, layerT, d)
-		if err != nil {
-			return nil, err
-		}
-		x2 := s2.withInlet(d2)
-		newT := s2.layerMeans(x2)
-		maxD := 0.0
-		for k := range newT {
-			if dt := math.Abs(newT[k] - layerT[k]); dt > maxD {
-				maxD = dt
-			}
-		}
-		s, d, x = s2, d2, x2
-		if maxD < 0.05 {
-			break
-		}
-	}
-	return s.extract(x), nil
+	return ses.SolveContext(ctx, nil, p.ExtraFluidHeat)
 }

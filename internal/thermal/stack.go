@@ -10,7 +10,6 @@ package thermal
 
 import (
 	"fmt"
-	"math"
 
 	"bright/internal/cfd"
 )
@@ -18,15 +17,12 @@ import (
 // Material carries bulk thermal properties.
 type Material struct {
 	Name string
-	// Conductivity in W/(m.K) at the 300 K reference.
+	// Conductivity in W/(m.K), constant: the compact model is a linear
+	// network evaluated at the 300 K reference.
 	Conductivity float64
 	// VolHeatCapacity is rho*cp in J/(m3.K) (used by the transient
 	// solver).
 	VolHeatCapacity float64
-	// TempExponent models k(T) = k300 * (300/T)^TempExponent; 0 means
-	// temperature-independent. Bulk silicon follows ~1.33 near room
-	// temperature (phonon scattering). Used by the nonlinear solve.
-	TempExponent float64
 }
 
 // Validate reports whether the material is physical.
@@ -34,25 +30,15 @@ func (m Material) Validate() error {
 	if m.Conductivity <= 0 || m.VolHeatCapacity <= 0 {
 		return fmt.Errorf("thermal: nonphysical material %+v", m)
 	}
-	if m.TempExponent < 0 || m.TempExponent > 3 {
-		return fmt.Errorf("thermal: conductivity exponent %g out of [0,3]", m.TempExponent)
-	}
 	return nil
 }
 
-// ConductivityAt returns the conductivity at temperature t (K); t <= 0
-// returns the 300 K reference.
-func (m Material) ConductivityAt(t float64) float64 {
-	if m.TempExponent == 0 || t <= 0 {
-		return m.Conductivity
-	}
-	return m.Conductivity * math.Pow(300/t, m.TempExponent)
-}
-
-// Silicon returns bulk silicon (130 W/mK at 300 K with the ~T^-1.33
-// phonon roll-off).
+// Silicon returns bulk silicon at its 300 K conductivity, 130 W/mK,
+// held constant like every conductivity of the linear model. Silicon's
+// ~T^-1.33 phonon roll-off would raise the Fig. 9 peak by about 0.07 K
+// at 676 ml/min (0.35 K at 48 ml/min).
 func Silicon() Material {
-	return Material{Name: "silicon", Conductivity: 130, VolHeatCapacity: 1.63e6, TempExponent: 1.33}
+	return Material{Name: "silicon", Conductivity: 130, VolHeatCapacity: 1.63e6}
 }
 
 // SiliconDioxide returns SiO2 (BEOL approximation).

@@ -355,3 +355,48 @@ func TestTransientValidation(t *testing.T) {
 		t.Fatal("negative T0 accepted")
 	}
 }
+
+func yGradient(sol *Solution) float64 {
+	g := sol.Grid
+	q := g.NY() / 4
+	var first, last float64
+	for j := 0; j < q; j++ {
+		for i := 0; i < g.NX(); i++ {
+			first += sol.ActiveT.At(i, j)
+			last += sol.ActiveT.At(i, g.NY()-1-j)
+		}
+	}
+	return (last - first) / float64(q*g.NX())
+}
+
+func TestCounterFlowEvensGradient(t *testing.T) {
+	uni, err := Solve(Power7Problem(676, units.CtoK(27), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf := Power7Problem(676, units.CtoK(27), 0)
+	cf.Stack.Channels.CounterFlow = true
+	solC, err := Solve(cf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gU, gC := yGradient(uni), yGradient(solC)
+	// Uniflow warms monotonically downstream; counterflow must cut the
+	// asymmetry roughly in half.
+	if gU <= 0 {
+		t.Fatalf("uniflow gradient %g not positive", gU)
+	}
+	if gC > 0.7*gU {
+		t.Fatalf("counterflow gradient %.3f K should be well below uniflow %.3f K", gC, gU)
+	}
+	// Energy still conserved: outlet carries the chip power.
+	mc := cf.Stack.Channels.HeatCapacityRate()
+	carried := mc * (solC.OutletT - cf.Stack.Channels.InletTemperature)
+	if math.Abs(carried-solC.TotalPower)/solC.TotalPower > 0.02 {
+		t.Fatalf("counterflow enthalpy balance: %.1f W vs %.1f W", carried, solC.TotalPower)
+	}
+	// Peak unchanged or slightly better.
+	if solC.PeakT > uni.PeakT+0.05 {
+		t.Fatalf("counterflow peak %.2f worse than uniflow %.2f", solC.PeakT, uni.PeakT)
+	}
+}
