@@ -1,10 +1,9 @@
 package cosim
 
 import (
+	"context"
 	"fmt"
 
-	"bright/internal/floorplan"
-	"bright/internal/mesh"
 	"bright/internal/thermal"
 	"bright/internal/units"
 )
@@ -27,7 +26,9 @@ type ThermalCapResult struct {
 }
 
 // ThermalCap bisects the chip load fraction to the junction limit at
-// the given coolant condition.
+// the given coolant condition. Every probe reads one unit response of
+// the full-load map (thermal.Response): two solves answer the whole
+// bisection.
 func ThermalCap(flowMLMin, inletC, limitC float64) (*ThermalCapResult, error) {
 	if flowMLMin <= 0 {
 		return nil, fmt.Errorf("cosim: nonpositive flow %g", flowMLMin)
@@ -35,26 +36,19 @@ func ThermalCap(flowMLMin, inletC, limitC float64) (*ThermalCapResult, error) {
 	if limitC <= inletC {
 		return nil, fmt.Errorf("cosim: limit %g C must exceed the inlet %g C", limitC, inletC)
 	}
-	f := floorplan.Power7()
-	base := thermal.Power7Problem(flowMLMin, units.CtoK(inletC), 0)
-	fullMap := f.Rasterize(base.Grid(), floorplan.Power7FullLoad())
-	peakAt := func(load float64) (float64, float64, error) {
-		p := thermal.Power7Problem(flowMLMin, units.CtoK(inletC), 0)
-		scaled := mesh.NewField2D(p.Grid())
-		for k, v := range fullMap.Data {
-			scaled.Data[k] = v * load
-		}
-		p.Power = scaled
-		sol, err := thermal.Solve(p)
-		if err != nil {
-			return 0, 0, err
-		}
-		return units.KtoC(sol.PeakT), sol.TotalPower, nil
-	}
-	peakFull, powerFull, err := peakAt(1)
+	inletK := units.CtoK(inletC)
+	ses, err := thermal.NewSession(thermal.Power7Problem(flowMLMin, inletK, 0))
 	if err != nil {
 		return nil, err
 	}
+	resp, err := ses.Response(context.TODO(), nil)
+	if err != nil {
+		return nil, err
+	}
+	peakAt := func(load float64) float64 {
+		return units.KtoC(resp.Summary(inletK, load, 0).PeakT)
+	}
+	peakFull, powerFull := peakAt(1), resp.PowerW()
 	res := &ThermalCapResult{
 		FlowMLMin: flowMLMin, InletTempC: inletC, LimitC: limitC,
 	}
@@ -68,12 +62,8 @@ func ThermalCap(flowMLMin, inletC, limitC float64) (*ThermalCapResult, error) {
 	var peakLo, powerLo float64
 	for iter := 0; iter < 30 && hi-lo > 1e-3; iter++ {
 		mid := 0.5 * (lo + hi)
-		peak, power, err := peakAt(mid)
-		if err != nil {
-			return nil, err
-		}
-		if peak <= limitC {
-			lo, peakLo, powerLo = mid, peak, power
+		if peak := peakAt(mid); peak <= limitC {
+			lo, peakLo, powerLo = mid, peak, mid*powerFull
 		} else {
 			hi = mid
 		}
