@@ -6,7 +6,10 @@
 # the build, the benchmark module's build and vet (`perfbench-build` —
 # perfbench/ is its own module, so `go build ./...` does not see it,
 # and an API change that breaks what it links would otherwise surface
-# only when the benchmark runs), the serving tier under the race
+# only when the benchmark runs), the answer gate (`golden` — cold
+# core.Evaluate reports and the Fig. 9 thermal.Solve compared field by
+# field against internal/core/testdata/golden.json, ≈4 s; the gate runs
+# no plain `go test` otherwise), the serving tier under the race
 # detector with the leakcheck goroutine-neutrality harness active
 # (`race-all` — the sim engine, streaming sessions and cluster
 # coordinator are heavily concurrent; races and leaked goroutines there
@@ -16,9 +19,9 @@
 
 GO ?= go
 
-.PHONY: check fmt-check build perfbench-build vet lint lint-fix-list test race race-all test-short fuzz bench bench-serving bench-compare escape-check
+.PHONY: check fmt-check build perfbench-build golden vet lint lint-fix-list test race race-all test-short fuzz bench bench-serving bench-compare escape-check
 
-check: fmt-check vet lint build perfbench-build race-all escape-check
+check: fmt-check vet lint build perfbench-build golden race-all escape-check
 
 # Formatting gate: any file gofmt would rewrite fails the build.
 fmt-check:
@@ -36,6 +39,11 @@ build:
 perfbench-build:
 	$(GO) -C perfbench build -o /dev/null ./...
 	$(GO) -C perfbench vet ./...
+
+# Answer gate: TestGolden's tolerances live in its goldenTol table;
+# `go test -run Golden ./internal/core/ -update` regenerates the file.
+golden:
+	$(GO) test -count=1 -run Golden ./internal/core/
 
 vet:
 	$(GO) vet ./...

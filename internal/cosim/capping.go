@@ -48,7 +48,9 @@ func ThermalCap(flowMLMin, inletC, limitC float64) (*ThermalCapResult, error) {
 	peakAt := func(load float64) float64 {
 		return units.KtoC(resp.Summary(inletK, load, 0).PeakT)
 	}
-	peakFull, powerFull := peakAt(1), resp.PowerW()
+	// The power at load L is L times the full-load map's.
+	full := resp.Solution(inletK, 1, 0)
+	peakFull, powerFull := units.KtoC(full.PeakT), full.TotalPower
 	res := &ThermalCapResult{
 		FlowMLMin: flowMLMin, InletTempC: inletC, LimitC: limitC,
 	}

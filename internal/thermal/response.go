@@ -75,10 +75,6 @@ func (ss *Session) Response(ctx context.Context, power *mesh.Field2D) (*Response
 	return r, nil
 }
 
-// PowerW returns the integrated chip power (W) of the unit-load map:
-// a steady state at load L carries L·PowerW.
-func (r *Response) PowerW() float64 { return r.powerW }
-
 // combine writes T = T_in + load·Xp + heat·Xh into the reused buffer.
 func (r *Response) combine(inletT, load, heat float64) []float64 {
 	for i := range r.x {
