@@ -162,6 +162,13 @@ func writeGolden(t *testing.T, g goldenFile) {
 	t.Logf("wrote %s", goldenPath)
 }
 
+// isPeakLocation reports whether a flattened key names a peak
+// location: nested (a report's Thermal.PeakX) or at the top level (the
+// thermal_solve entry's bare PeakX).
+func isPeakLocation(k string) bool {
+	return k == "PeakX" || k == "PeakY" || strings.HasSuffix(k, ".PeakX") || strings.HasSuffix(k, ".PeakY")
+}
+
 // compareGolden checks every field of one answer against its golden
 // entry under goldenTol. JSON decodes every golden number as float64,
 // which holds the file's counts and round-trip floats exactly.
@@ -178,7 +185,7 @@ func compareGolden(t *testing.T, name string, got, want map[string]any, peakGap 
 			t.Errorf("%s: field %s is missing from the golden file", name, k)
 			continue
 		}
-		if (strings.HasSuffix(k, ".PeakX") || strings.HasSuffix(k, ".PeakY")) && peakGap <= goldenTol.PeakTieK {
+		if isPeakLocation(k) && peakGap <= goldenTol.PeakTieK {
 			continue
 		}
 		switch g := got[k].(type) {
