@@ -111,7 +111,8 @@ fuzz:
 # the serving engine and the streaming-session stepper, folded into a
 # machine-readable report ($(BENCH_OUT)): per-benchmark ns/op, B/op,
 # allocs/op, the paired speedup rows (Jacobi vs multigrid
-# preconditioning, Jacobi vs ILU(0) on the thermal unit responses,
+# preconditioning, Jacobi vs ILU(0) and ILU(0) vs the semicoarsened
+# multigrid on the thermal unit responses,
 # sequential vs block multi-RHS CG, CSR vs SELL-C-σ SpMV) and the
 # streaming frames/s rows, stamped with the Go version
 # and core count of the generating machine. The num suite runs -count 3 so the
@@ -135,9 +136,9 @@ bench-serving:
 
 # Solver regression gate: runs the paired preconditioner benchmarks
 # (BenchmarkCGPoisson64x64, BenchmarkCGPoisson128x128, BenchmarkCGStack3D
-# — each a /jacobi vs /mg couple), the thermal unit-response couple
-# (BenchmarkThermalResponse: /jacobi vs /ilu0 wall clock on the
-# 676 ml/min operator), the block multi-RHS couple
+# — each a /jacobi vs /mg couple), the thermal unit-response triple
+# (BenchmarkThermalResponse: /jacobi vs /ilu0 and /ilu0 vs /mg wall
+# clock on the 676 ml/min operator), the block multi-RHS couple
 # (BenchmarkBlockCG128x128: /seq vs /block, gated on the deterministic
 # rows/op metric) and the SELL-C-σ layout couples (BenchmarkSpMV*:
 # /csr vs /sell on the 256²/512²/stacked-die operators), and fails if
@@ -151,7 +152,9 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -min-mg-speedup 1.0 -min-speedup 1.0 -o /dev/null /tmp/bench_mg.txt /tmp/bench_ilu.txt
 
 # Static allocation guard for the kernel hot paths. In
-# internal/num/kernels.go no heap escape is allowed; in
+# internal/num/kernels.go and internal/num/mgcycle.go (the multigrid
+# V-cycles, apart from their constructors in mg.go) no heap escape is
+# allowed; in
 # internal/num/sellcs.go only the SELL-C-σ constructor (NewSELLCS, run
 # once at solver setup) may allocate — the sliced kernel's accumulators
 # must stay on the stack; in internal/num/ilu.go only the ILU(0)
@@ -159,10 +162,11 @@ bench-compare:
 # forward/back sweeps of Apply run on every Krylov iteration. Anything else — a closure capturing operands,
 # a buffer escaping per call — would put an allocation on every kernel
 # op and break the zero-allocs/op solve loop, so it fails the gate.
-# The dynamic twin of this guard is TestKrylovWorkspaceZeroAlloc.
+# The dynamic twins of this guard are TestKrylovWorkspaceZeroAlloc and
+# TestMGApplyZeroAlloc.
 escape-check:
 	@out=$$($(GO) build -gcflags=-m ./internal/num 2>&1 \
-		| grep -E 'kernels\.go|sellcs\.go|ilu\.go' \
+		| grep -E 'kernels\.go|mgcycle\.go|sellcs\.go|ilu\.go' \
 		| grep -E 'escapes to heap|moved to heap' \
 		| grep -vE 'make\(\[\]int32, rows\)|make\(\[\]int, nSlices \+ 1\)|make\(\[\]int32, padded\)|make\(\[\]float64, padded\)|&SELLCS\{\.\.\.\}' \
 		| grep -vE 'ilu\.go:.*(make\(\[\]float64, len\(a\.Val\)\)|make\(\[\]int, n\)|&ILU0\{\.\.\.\})'); \

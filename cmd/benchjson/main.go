@@ -3,9 +3,9 @@
 // files (or stdin when none are given), parses every benchmark result
 // line, and emits a single JSON document with per-benchmark ns/op,
 // B/op, allocs/op and any custom metrics, plus speedup pairs for
-// benchmarks that expose paired sub-benchmarks: /jacobi vs /mg and
-// /jacobi vs /ilu0 (preconditioner), /seq vs /block (multi-RHS CG) and
-// /csr vs /sell (SELL-C-σ SpMV layout).
+// benchmarks that expose paired sub-benchmarks: /jacobi vs /mg,
+// /jacobi vs /ilu0 and /ilu0 vs /mg (preconditioner), /seq vs /block
+// (multi-RHS CG) and /csr vs /sell (SELL-C-σ SpMV layout).
 //
 // Usage:
 //
@@ -21,7 +21,7 @@
 // The floors turn the report into a regression gate: after writing the
 // output, -min-mg-speedup exits nonzero if any jacobi-vs-mg pair falls
 // below the threshold, and -min-speedup does the same for the ilu0,
-// blockcg and sell pairings — each gated kind must also be present at
+// ilu0-mg, blockcg and sell pairings — each gated kind must also be present at
 // all (a silently skipped benchmark must not pass the gate).
 // `make bench-compare` runs both at 1.0 so no optimized solver path can
 // quietly regress below its baseline on the reference grids.
@@ -73,7 +73,8 @@ type Benchmark struct {
 
 // Speedup pairs a benchmark's baseline and optimized variants. Kind
 // names the pairing: "mg" for /jacobi vs /mg, "ilu0" for /jacobi vs
-// /ilu0, "blockcg" for /seq vs /block, "sell" for /csr vs /sell.
+// /ilu0, "ilu0-mg" for /ilu0 vs /mg, "blockcg" for /seq vs /block,
+// "sell" for /csr vs /sell.
 type Speedup struct {
 	Name string `json:"name"`
 	Kind string `json:"kind"`
@@ -101,15 +102,16 @@ type FrameRate struct {
 var suffixPairs = []struct{ kind, baseline, variant string }{
 	{"mg", "/jacobi", "/mg"},
 	{"ilu0", "/jacobi", "/ilu0"},
+	{"ilu0-mg", "/ilu0", "/mg"},
 	{"blockcg", "/seq", "/block"},
 	{"sell", "/csr", "/sell"},
 }
 
 // gatedKinds are the pairings -min-speedup enforces: each must appear at
 // least once and every pair must meet the floor. They cover ILU(0) on
-// the thermal unit responses, block multi-RHS CG and the SELL-C-σ SpMV
-// layout.
-var gatedKinds = []string{"ilu0", "blockcg", "sell"}
+// the thermal unit responses and the semicoarsened multigrid over it,
+// block multi-RHS CG and the SELL-C-σ SpMV layout.
+var gatedKinds = []string{"ilu0", "ilu0-mg", "blockcg", "sell"}
 
 // Report is the emitted document.
 type Report struct {
@@ -131,7 +133,7 @@ func main() {
 	minMG := flag.Float64("min-mg-speedup", 0,
 		"exit nonzero if any jacobi-vs-mg pair's speedup falls below this, or none exists (0 disables)")
 	minSpeedup := flag.Float64("min-speedup", 0,
-		"exit nonzero unless every ilu0, blockcg and sell pair exists and meets this floor (0 disables)")
+		"exit nonzero unless every ilu0, ilu0-mg, blockcg and sell pair exists and meets this floor (0 disables)")
 	flag.Parse()
 
 	rep := &Report{

@@ -71,9 +71,10 @@ type IterOptions struct {
 	// one from the operator when nil (see NewSparseSolverSymmetric).
 	M Preconditioner
 	// Shape, when non-nil and covering the matrix, tells SparseSolver
-	// the structured grid behind the unknowns, which a large symmetric
-	// operator needs to get geometric multigrid; without it the solver
-	// uses Jacobi. Ignored by bare CG/BiCGSTAB.
+	// the structured grid behind the unknowns, which a large operator
+	// needs to get geometric multigrid; without it the solver uses
+	// Jacobi (symmetric) or ILU(0) (nonsymmetric). Ignored by bare
+	// CG/BiCGSTAB.
 	Shape *GridShape
 }
 

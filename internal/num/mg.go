@@ -49,6 +49,13 @@ func (s GridShape) coarsen() GridShape {
 	return GridShape{NX: h(s.NX), NY: h(s.NY), NZ: h(s.nz())}
 }
 
+// coarsenXY halves X and Y (cell-centered: ceil(n/2)) and keeps every
+// plane.
+func (s GridShape) coarsenXY() GridShape {
+	h := func(n int) int { return (n + 1) / 2 }
+	return GridShape{NX: h(s.NX), NY: h(s.NY), NZ: s.NZ}
+}
+
 // Multigrid hierarchy parameters. Symmetric V(1,1) cycles with
 // damped-Jacobi smoothing and R = P^T keep the preconditioner SPD for
 // SPD operators, which CG requires.
@@ -63,24 +70,37 @@ const (
 	// mgCoarseSweeps is the damped-Jacobi sweep count on a coarsest
 	// level whose LU is unavailable (four times a V(1,1) cycle's two).
 	mgCoarseSweeps = 8
+	// mgSemiCoarsestN stops the semicoarsened hierarchy once a level has
+	// at most this many unknowns. Every plane survives coarsening, so
+	// its coarsest level is a few cells per plane times the plane count;
+	// a dense LU of that size costs less than one fine smoothing sweep.
+	mgSemiCoarsestN = 200
 )
 
-// mgLevel is one rung of the hierarchy. p maps the next-coarser level's
-// correction up to this level; r (= p^T) maps this level's residual
-// down. Both are nil on the coarsest level. The x/b/res buffers are
-// sized at setup so Apply never allocates.
+// mgLevel is one rung of the hierarchy. In the symmetric hierarchy p
+// maps the next-coarser level's correction up to this level, r (= p^T)
+// maps this level's residual down and invDiag drives the Jacobi
+// smoother. In the semicoarsened hierarchy agg names each row's
+// aggregate on the next-coarser level (piecewise-constant transfers)
+// and ilu is the smoother. Transfers are nil on the coarsest level.
+// The x/b/res buffers are sized at setup so Apply never allocates; the
+// finest semicoarsened level has no x or b (it runs on Apply's r and
+// z).
 type mgLevel struct {
 	a       *CSR
 	invDiag []float64
 	p, r    *CSR
+	ilu     *ILU0
+	agg     []int32
 	x, b    []float64
 	res     []float64
 }
 
 // Multigrid is a geometric V-cycle preconditioner over a fixed operator
-// on a structured grid. Setup builds the full hierarchy —
-// prolongations, Galerkin coarse operators A_c = P^T A P, inverse
-// diagonals and a dense LU of the coarsest level — once; Apply then
+// on a structured grid, in one of two forms: the symmetric hierarchy of
+// NewGMG or the semicoarsened one of NewSemiGMG. Setup builds the full
+// hierarchy — transfers, Galerkin coarse operators A_c = P^T A P,
+// smoothers and a dense LU of the coarsest level — once; Apply then
 // runs allocation-free V-cycles, so a Multigrid cached per operator
 // (PDN grid, electrode potential) costs setup exactly once. Apply is
 // not safe for concurrent use; SparseSolver serializes solves, which
@@ -180,51 +200,142 @@ func invDiagOf(a *CSR) ([]float64, error) {
 	return inv, nil
 }
 
-// Apply runs one V-cycle on A z = r from a zero initial guess. It is
-// allocation-free: every buffer was sized at setup.
-func (m *Multigrid) Apply(r, z []float64) {
-	f := m.levels[0]
-	copy(f.b, r)
-	Fill(f.x, 0)
-	m.vcycle(0)
-	copy(z, f.x)
-	mgCycles.Add(1)
+// NewSemiGMG builds the multigrid hierarchy for a nonsymmetric operator
+// on a structured grid of thin planes (the thermal networks). It
+// coarsens X and Y by 2 and keeps every plane, because the planes are
+// coupled far more strongly through their thin layers than across
+// them. Its transfers are piecewise constant over 2×2 aggregates, with
+// the Galerkin coarse operator summed straight from the fine rows (a
+// bilinear Galerkin product can leave a coarse row without a diagonal
+// on these operators). Each level is smoothed by ILU(0) before and
+// after its coarse correction, and the coarsest (at most
+// mgSemiCoarsestN unknowns) is solved by dense LU. fine is the ILU(0)
+// factor of a when the caller has already built it (nil factors it
+// here); the coarser levels are factored here. A failed factorization
+// fails the build.
+func NewSemiGMG(a *CSR, shape GridShape, fine *ILU0) (*Multigrid, error) {
+	if a.Rows != a.Cols {
+		return nil, ErrShape
+	}
+	if !shape.covers(a) {
+		return nil, fmt.Errorf("num: grid shape %dx%dx%d does not cover %d unknowns",
+			shape.NX, shape.NY, shape.nz(), a.Rows)
+	}
+	m := &Multigrid{}
+	cur, curShape, smoother := a, shape, fine
+	for len(m.levels) < mgMaxLevels-1 && cur.Rows > mgSemiCoarsestN {
+		next := curShape.coarsenXY()
+		if next.Cells() >= cur.Rows {
+			break // the planes are already one cell wide
+		}
+		if smoother == nil {
+			f, err := NewILU0(cur)
+			if err != nil {
+				return nil, err
+			}
+			smoother = f
+		}
+		cur.ensureFormat()
+		lev := &mgLevel{a: cur, ilu: smoother, agg: aggregates(curShape, next), res: make([]float64, cur.Rows)}
+		if len(m.levels) > 0 {
+			lev.x, lev.b = make([]float64, cur.Rows), make([]float64, cur.Rows)
+		}
+		m.levels = append(m.levels, lev)
+		cur = aggregateGalerkin(cur, lev.agg, curShape, next)
+		curShape, smoother = next, nil
+	}
+	lu, err := FactorLU(cur.ToDense())
+	if err != nil {
+		return nil, err
+	}
+	m.levels = append(m.levels, &mgLevel{a: cur, x: make([]float64, cur.Rows), b: make([]float64, cur.Rows)})
+	m.coarse = lu
+	mgSetupsGMG.Inc()
+	mgLevelsBuilt.Add(uint64(len(m.levels)))
+	return m, nil
 }
 
-func (m *Multigrid) vcycle(l int) {
-	lev := m.levels[l]
-	if l == len(m.levels)-1 {
-		if m.coarse != nil {
-			// LU never fails here: shapes were fixed at setup.
-			//lint:ignore errignore SolveInto only errors on shape mismatch, pinned at setup
-			_ = m.coarse.SolveInto(lev.x, lev.b)
-		} else {
-			mgCoarseHeavySmooths.Inc()
-			smooth(lev, mgCoarseSweeps)
+// aggregates maps every cell of the fine shape to its 2×2 aggregate in
+// the same plane of coarse (= fine.coarsenXY()).
+func aggregates(fine, coarse GridShape) []int32 {
+	agg := make([]int32, 0, fine.Cells())
+	for k := 0; k < fine.nz(); k++ {
+		for j := 0; j < fine.NY; j++ {
+			for i := 0; i < fine.NX; i++ {
+				agg = append(agg, int32((k*coarse.NY+j/2)*coarse.NX+i/2))
+			}
 		}
-		return
 	}
-	smooth(lev, 1)
-	lev.a.MulVec(lev.x, lev.res)
-	for i := range lev.res {
-		lev.res[i] = lev.b[i] - lev.res[i]
-	}
-	next := m.levels[l+1]
-	lev.r.MulVec(lev.res, next.b)
-	Fill(next.x, 0)
-	m.vcycle(l + 1)
-	lev.p.MulVec(next.x, lev.res)
-	Axpy(1, lev.res, lev.x)
-	smooth(lev, 1)
+	return agg
 }
 
-// smooth runs damped-Jacobi sweeps x += omega * D^{-1} (b - A x).
-func smooth(lev *mgLevel, sweeps int) {
-	for s := 0; s < sweeps; s++ {
-		lev.a.MulVec(lev.x, lev.res)
-		for i, d := range lev.invDiag {
-			lev.x[i] += mgOmega * d * (lev.b[i] - lev.res[i])
+// aggregateGalerkin returns P^T A P for the piecewise-constant
+// prolongation P of agg = aggregates(fine, coarse): coarse entry (I, J) sums
+// every fine entry whose row lies in aggregate I and whose column lies
+// in aggregate J. It is summed row by row from a's own entries, in one
+// counting pass and one filling pass, so the result is sized exactly;
+// columns ascend within each row.
+func aggregateGalerkin(a *CSR, agg []int32, fine, coarse GridShape) *CSR {
+	nc := coarse.Cells()
+	// children calls visit with every fine row of coarse row I.
+	children := func(I int, visit func(row int)) {
+		ci, cj, k := I%coarse.NX, (I/coarse.NX)%coarse.NY, I/(coarse.NX*coarse.NY)
+		for j := 2 * cj; j < min(2*cj+2, fine.NY); j++ {
+			for i := 2 * ci; i < min(2*ci+2, fine.NX); i++ {
+				visit((k*fine.NY+j)*fine.NX + i)
+			}
 		}
+	}
+	c := &CSR{Rows: nc, Cols: nc, RowPtr: make([]int, nc+1)}
+	// mark[J] == I+1 once coarse column J has been seen in row I.
+	mark := make([]int, nc)
+	for I := 0; I < nc; I++ {
+		count := 0
+		children(I, func(row int) {
+			for p := a.RowPtr[row]; p < a.RowPtr[row+1]; p++ {
+				if J := agg[a.ColIdx[p]]; mark[J] != I+1 {
+					mark[J] = I + 1
+					count++
+				}
+			}
+		})
+		c.RowPtr[I+1] = c.RowPtr[I] + count
+	}
+	c.ColIdx = make([]int, c.RowPtr[nc])
+	c.Val = make([]float64, c.RowPtr[nc])
+	// slot[J]-1 is coarse column J's position in the row being filled
+	// when slot[J] > the row's start, a stale earlier row's otherwise.
+	slot := mark
+	clear(slot)
+	for I := 0; I < nc; I++ {
+		lo, end := c.RowPtr[I], c.RowPtr[I]
+		children(I, func(row int) {
+			for p := a.RowPtr[row]; p < a.RowPtr[row+1]; p++ {
+				J := int(agg[a.ColIdx[p]])
+				if s := slot[J]; s > lo {
+					c.Val[s-1] += a.Val[p]
+					continue
+				}
+				c.ColIdx[end], c.Val[end] = J, a.Val[p]
+				end++
+				slot[J] = end
+			}
+		})
+		sortRow(c.ColIdx[lo:end], c.Val[lo:end])
+	}
+	return c
+}
+
+// sortRow sorts one short CSR row by column (insertion sort), carrying
+// the values along.
+func sortRow(cols []int, vals []float64) {
+	for t := 1; t < len(cols); t++ {
+		col, v := cols[t], vals[t]
+		u := t
+		for ; u > 0 && cols[u-1] > col; u-- {
+			cols[u], vals[u] = cols[u-1], vals[u-1]
+		}
+		cols[u], vals[u] = col, v
 	}
 }
 

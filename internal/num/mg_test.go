@@ -180,28 +180,119 @@ func TestGMGShapeMismatch(t *testing.T) {
 }
 
 // TestMGApplyZeroAlloc is the per-cycle allocation contract: hierarchy
-// setup may allocate, Apply must not.
+// setup may allocate, Apply must not, in either hierarchy.
 func TestMGApplyZeroAlloc(t *testing.T) {
-	a := laplacian2D(32)
-	mg, err := NewGMG(a, GridShape{NX: 32, NY: 32})
+	sym := laplacian2D(32)
+	nonsym := thermalStampPattern(40, 32, 4).ToCSR()
+	for _, tc := range []struct {
+		name  string
+		a     *CSR
+		build func(a *CSR) (*Multigrid, error)
+	}{
+		{"symmetric", sym, func(a *CSR) (*Multigrid, error) { return NewGMG(a, GridShape{NX: 32, NY: 32}) }},
+		{"semicoarsened", nonsym, func(a *CSR) (*Multigrid, error) { return NewSemiGMG(a, GridShape{NX: 40, NY: 32, NZ: 5}, nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mg, err := tc.build(tc.a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := make([]float64, tc.a.Rows)
+			z := make([]float64, tc.a.Rows)
+			for i := range r {
+				r[i] = float64(i%13) - 6
+			}
+			mg.Apply(r, z) // warm any lazy paths before counting
+			if allocs := testing.AllocsPerRun(20, func() { mg.Apply(r, z) }); allocs != 0 {
+				t.Fatalf("Apply allocates %.1f per cycle, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestAggregateGalerkin: the coarse operator summed from the fine rows
+// is P^T A P for the piecewise-constant prolongation, on a grid whose
+// odd sides leave one-cell-wide aggregates at the far edges, with
+// strictly ascending columns per row (the ILU(0) pattern contract).
+func TestAggregateGalerkin(t *testing.T) {
+	fine := GridShape{NX: 9, NY: 7, NZ: 4}
+	a := thermalStampPattern(9, 7, 3).ToCSR()
+	coarse := fine.coarsenXY()
+	agg := aggregates(fine, coarse)
+	pc := NewCOO(fine.Cells(), coarse.Cells())
+	for i, c := range agg {
+		pc.Add(i, int(c), 1)
+	}
+	p := pc.ToCSR()
+	want := MatMul(p.Transpose(), MatMul(a, p))
+	got := aggregateGalerkin(a, agg, fine, coarse)
+	if got.Rows != coarse.Cells() || got.NNZ() != want.NNZ() {
+		t.Fatalf("coarse operator %d rows, %d entries; want %d rows, %d entries", got.Rows, got.NNZ(), coarse.Cells(), want.NNZ())
+	}
+	if cap(got.ColIdx) != got.NNZ() || cap(got.Val) != got.NNZ() {
+		t.Fatalf("coarse operator not sized exactly: cap %d/%d for %d entries", cap(got.ColIdx), cap(got.Val), got.NNZ())
+	}
+	for i := 0; i < got.Rows; i++ {
+		for k := got.RowPtr[i]; k < got.RowPtr[i+1]; k++ {
+			if k > got.RowPtr[i] && got.ColIdx[k] <= got.ColIdx[k-1] {
+				t.Fatalf("row %d columns not strictly ascending", i)
+			}
+			j := got.ColIdx[k]
+			if w := want.At(i, j); math.Abs(got.Val[k]-w) > 1e-12*math.Max(1, math.Abs(w)) {
+				t.Fatalf("A_c(%d,%d) = %g, want %g", i, j, got.Val[k], w)
+			}
+		}
+	}
+}
+
+// TestSemiGMGBeatsILU0: on a thermal-like nonsymmetric operator (thin
+// solid planes over an advected fluid plane) the semicoarsened
+// hierarchy keeps every plane, and BiCGSTAB preconditioned by it needs
+// fewer than half the iterations of plain ILU(0).
+func TestSemiGMGBeatsILU0(t *testing.T) {
+	shape := GridShape{NX: 64, NY: 48, NZ: 5}
+	a := thermalStampPattern(64, 48, 4).ToCSR()
+	mg, err := NewSemiGMG(a, shape, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := make([]float64, a.Rows)
-	z := make([]float64, a.Rows)
-	for i := range r {
-		r[i] = float64(i%13) - 6
+	if last := mg.levels[len(mg.levels)-1]; last.a.Rows > mgSemiCoarsestN || last.a.Rows%shape.NZ != 0 {
+		t.Fatalf("coarsest level has %d rows, want at most %d in %d planes", last.a.Rows, mgSemiCoarsestN, shape.NZ)
 	}
-	mg.Apply(r, z) // warm any lazy paths before counting
-	if allocs := testing.AllocsPerRun(20, func() { mg.Apply(r, z) }); allocs != 0 {
-		t.Fatalf("Apply allocates %.1f per cycle, want 0", allocs)
+	f, err := NewILU0(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := make([]float64, a.Rows)
+	for i := range b {
+		b[i] = float64(i%11) - 3
+	}
+	iters := map[string]int{}
+	for _, pc := range []struct {
+		name string
+		m    Preconditioner
+	}{{"ilu0", f}, {"mg", mg}} {
+		x := make([]float64, a.Rows)
+		res, err := BiCGSTAB(a, b, x, IterOptions{Tol: 1e-10, M: pc.m})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rn := residualNorm(a, b, x) / Norm2(b); rn > 1e-9 {
+			t.Fatalf("%s: relative residual %g", pc.name, rn)
+		}
+		iters[pc.name] = res.Iterations
+	}
+	t.Logf("iterations: %v over %d levels", iters, mg.Levels())
+	if 2*iters["mg"] > iters["ilu0"] {
+		t.Fatalf("semicoarsened MG took %d iterations vs ILU(0) %d, want at most half", iters["mg"], iters["ilu0"])
 	}
 }
 
 // TestPrecondPolicy pins the preconditioner rule as a table over what
-// the operator shows: multigrid only for a symmetric operator of at
-// least MGAutoThreshold rows whose grid the shape covers, ILU(0) for
-// every nonsymmetric operator, Jacobi for every other combination.
+// the operator shows: multigrid for an operator of at least
+// MGAutoThreshold rows whose grid the shape covers (the semicoarsened
+// hierarchy when it is nonsymmetric), otherwise ILU(0) for a
+// nonsymmetric operator and Jacobi for a symmetric one.
 func TestPrecondPolicy(t *testing.T) {
 	small := laplacian2D(16) // 256 unknowns < MGAutoThreshold
 	large := laplacian2D(64) // 4096 unknowns >= MGAutoThreshold
@@ -218,7 +309,9 @@ func TestPrecondPolicy(t *testing.T) {
 		{"large/sym/shape", large, true, largeShape, "mg"},
 		{"large/sym/no-shape", large, true, nil, "jacobi"},
 		{"large/sym/mismatched-shape", large, true, wrongShape, "jacobi"},
-		{"large/nonsym/shape", large, false, largeShape, "ilu0"},
+		{"large/nonsym/shape", large, false, largeShape, "mg"},
+		{"large/nonsym/no-shape", large, false, nil, "ilu0"},
+		{"large/nonsym/mismatched-shape", large, false, wrongShape, "ilu0"},
 		{"small/sym/shape", small, true, smallShape, "jacobi"},
 		{"small/sym/no-shape", small, true, nil, "jacobi"},
 		{"small/nonsym/no-shape", small, false, nil, "ilu0"},
@@ -226,9 +319,12 @@ func TestPrecondPolicy(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			pre := NewSparseSolverSymmetric(tc.a, tc.symmetric, IterOptions{Shape: tc.shape}).Precond()
 			got := fmt.Sprintf("%T", pre)
-			switch pre.(type) {
+			switch m := pre.(type) {
 			case *Multigrid:
 				got = "mg"
+				if semi := m.levels[0].ilu != nil; semi == tc.symmetric {
+					t.Fatalf("symmetric=%v operator got the semicoarsened=%v hierarchy", tc.symmetric, semi)
+				}
 			case *ILU0:
 				got = "ilu0"
 			case *JacobiPreconditioner:
@@ -243,6 +339,34 @@ func TestPrecondPolicy(t *testing.T) {
 	id := IdentityPreconditioner{}
 	if s := NewSparseSolverSymmetric(large, true, IterOptions{M: id, Shape: largeShape}); s.Precond() != id {
 		t.Fatalf("explicit M replaced by %T", s.Precond())
+	}
+}
+
+// TestSemiGMGFallback: when the semicoarsened hierarchy cannot be
+// built, the rule keeps the plain ILU(0) it already factored and counts
+// the fallback. The operator is unit upper triangular (its ILU(0) is
+// exact), but each -2 coupling inside a 2×2 aggregate cancels the
+// aggregate's diagonal, so the first coarse level has a zero pivot.
+func TestSemiGMGFallback(t *testing.T) {
+	const n = 64
+	c := NewCOO(n*n, n*n)
+	for row := 0; row < n*n; row++ {
+		c.Add(row, row, 1)
+		if row%2 == 0 {
+			c.Add(row, row+1, -2)
+		}
+	}
+	a := c.ToCSR()
+	if _, err := NewSemiGMG(a, GridShape{NX: n, NY: n}, nil); err == nil {
+		t.Fatal("hierarchy over a zero coarse pivot built")
+	}
+	f0 := mgSetupFallbacks.Value()
+	pre := NewSparseSolverSymmetric(a, false, IterOptions{Shape: &GridShape{NX: n, NY: n}}).Precond()
+	if _, ok := pre.(*ILU0); !ok {
+		t.Fatalf("fallback resolved to %T, want *ILU0", pre)
+	}
+	if d := mgSetupFallbacks.Value() - f0; d != 1 {
+		t.Fatalf("fallback counter moved by %d, want 1", d)
 	}
 }
 

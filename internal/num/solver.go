@@ -76,9 +76,11 @@ func NewSparseSolver(a *CSR, opt IterOptions) *SparseSolver {
 // The solver's layout and preconditioner follow from the operator
 // alone: a gets the SELL-C-σ mirror when it has at least 4096 rows and
 // pads by at most 25%, and unless opt.M is set the preconditioner is
-// geometric multigrid for a symmetric operator of at least
-// MGAutoThreshold rows whose grid opt.Shape describes, ILU(0) for a
-// nonsymmetric operator (the thermal networks), Jacobi otherwise.
+// chosen by size, symmetry and opt.Shape: for an operator of at least
+// MGAutoThreshold rows whose grid opt.Shape describes, geometric
+// multigrid (Jacobi-smoothed when symmetric, the semicoarsened
+// ILU(0)-smoothed hierarchy when not: the thermal networks); otherwise
+// ILU(0) for a nonsymmetric operator and Jacobi for a symmetric one.
 func NewSparseSolverSymmetric(a *CSR, symmetric bool, opt IterOptions) *SparseSolver {
 	a.ensureFormat()
 	s := &SparseSolver{a: a, sym: symmetric, opt: opt}

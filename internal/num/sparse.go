@@ -66,19 +66,22 @@ func (c *COO) ToCSR() *CSR {
 	if n > math.MaxInt32 {
 		panic(fmt.Sprintf("num: %d COO stamps exceed int32 indexing", n))
 	}
-	// start[r] is the first slot of row r's bucket in perm.
+	// start[r] is the first slot of row r's bucket in perm. The
+	// scatter uses start[r+1] as row r's write cursor, which leaves it
+	// at the end of row r, that is at its final value.
 	start := make([]int, c.Rows+1)
 	for _, r := range c.ri {
-		start[r+1]++
+		if int(r) < c.Rows-1 {
+			start[r+2]++
+		}
 	}
-	for r := 0; r < c.Rows; r++ {
+	for r := 1; r < c.Rows; r++ {
 		start[r+1] += start[r]
 	}
 	perm := make([]int32, n)
-	next := slices.Clone(start[:c.Rows])
 	for k, r := range c.ri {
-		perm[next[r]] = int32(k)
-		next[r]++
+		perm[start[r+1]] = int32(k)
+		start[r+1]++
 	}
 	m := &CSR{Rows: c.Rows, Cols: c.Cols, RowPtr: make([]int, c.Rows+1)}
 	for r := 0; r < c.Rows; r++ {

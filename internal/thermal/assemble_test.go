@@ -13,7 +13,11 @@ import (
 // TestAssembleReservationHolds: assemble reserves its stamp count up
 // front, and stamping never outgrows it, so the triplet slices are
 // allocated once. A stencil change that adds stamps without updating
-// stampCount fails here instead of silently regrowing.
+// stampCount fails here instead of silently regrowing. Every stamp
+// lands on its own matrix entry (the solid diagonals are summed before
+// they are stamped), so the stamp count equals the nonzero count, and
+// equals stampCount exactly where no clogged column drops its
+// advection stamps.
 func TestAssembleReservationHolds(t *testing.T) {
 	f := floorplan.Power7()
 	stack3D := func() *Problem {
@@ -34,15 +38,16 @@ func TestAssembleReservationHolds(t *testing.T) {
 		return p
 	}
 	for _, tc := range []struct {
-		name string
-		p    *Problem
+		name  string
+		p     *Problem
+		exact bool
 	}{
-		{"power7 single cavity", Power7Problem(676, units.CtoK(27), 0)},
-		{"3D stack two cavities", stack3D()},
-		{"counterflow with a clogged column", cloggedCounterflow()},
+		{"power7 single cavity", Power7Problem(676, units.CtoK(27), 0), true},
+		{"3D stack two cavities", stack3D(), true},
+		{"counterflow with a clogged column", cloggedCounterflow(), false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s, err := assemble(tc.p)
+			s, err := assemble(tc.p, false)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -54,6 +59,12 @@ func TestAssembleReservationHolds(t *testing.T) {
 			}
 			if s.co.NNZ() > hint {
 				t.Fatalf("%d stamps outgrow the %d reserved", s.co.NNZ(), hint)
+			}
+			if tc.exact && s.co.NNZ() != hint {
+				t.Fatalf("%d stamps, stampCount says %d", s.co.NNZ(), hint)
+			}
+			if nnz := s.co.ToCSR().NNZ(); nnz != s.co.NNZ() {
+				t.Fatalf("%d stamps merge into %d entries: duplicate stamps", s.co.NNZ(), nnz)
 			}
 		})
 	}

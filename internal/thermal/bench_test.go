@@ -54,22 +54,26 @@ func BenchmarkSessionWarm(b *testing.B) {
 
 // BenchmarkThermalResponse is the cold evaluate's dominant stage: the
 // preconditioner build plus the two unit-response solves from zero, on
-// the full-size 676 ml/min operator, as a /jacobi vs /ilu0 pair (ILU(0)
-// is the solver rule's choice for this nonsymmetric operator; Jacobi is
-// what it replaced). `make bench-compare` gates the pair's wall clock
-// at ≥ 1.0x.
+// the full-size 676 ml/min operator, in three variants: /jacobi, /ilu0
+// and /mg (the semicoarsened multigrid over the ILU(0) factor, the
+// solver rule's choice for this gridded nonsymmetric operator; /mg's
+// build includes the fine factorization). `make bench-compare` gates
+// the /jacobi vs /ilu0 and /ilu0 vs /mg wall-clock pairs at ≥ 1.0x.
 func BenchmarkThermalResponse(b *testing.B) {
 	ses, err := NewSession(Power7Problem(676, units.CtoK(27), 0))
 	if err != nil {
 		b.Fatal(err)
 	}
 	a := ses.solver.Matrix()
+	s := ses.s
+	shape := num.GridShape{NX: s.nx, NY: s.ny, NZ: s.nz + len(s.cavKs)}
 	for _, pc := range []struct {
 		name  string
 		build func() (num.Preconditioner, error)
 	}{
 		{"jacobi", func() (num.Preconditioner, error) { return num.NewJacobi(a), nil }},
 		{"ilu0", func() (num.Preconditioner, error) { return num.NewILU0(a) }},
+		{"mg", func() (num.Preconditioner, error) { return num.NewSemiGMG(a, shape, nil) }},
 	} {
 		b.Run(pc.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -54,19 +54,23 @@ func (ss *Session) Response(ctx context.Context, power *mesh.Field2D) (*Response
 		return nil, err
 	}
 	r := &Response{s: s, xp: make([]float64, s.n), xh: make([]float64, s.n), x: make([]float64, s.n)}
-	bp := make([]float64, s.n)
-	r.powerW = s.addPower(bp, power)
-	bh := make([]float64, s.n)
-	s.addFluidHeat(bh, 1)
+	// One right-hand side serves both solves: the solver does not keep
+	// b, so it is rebuilt in place for the second unit.
+	b := make([]float64, s.n)
 	for _, unit := range []struct {
 		name string
-		b, x []float64
-	}{{"power", bp, r.xp}, {"coolant heat", bh, r.xh}} {
+		rhs  func()
+		x    []float64
+	}{
+		{"power", func() { r.powerW = s.addPower(b, power) }, r.xp},
+		{"coolant heat", func() { clear(b); s.addFluidHeat(b, 1) }, r.xh},
+	} {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
+		unit.rhs()
 		sessionSolvesCold.Inc()
-		res, err := ss.solver.Solve(unit.b, unit.x)
+		res, err := ss.solver.Solve(b, unit.x)
 		ss.last = res
 		if err != nil {
 			return nil, fmt.Errorf("thermal: %s response solve failed: %w", unit.name, err)

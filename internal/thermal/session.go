@@ -43,9 +43,9 @@ type Session struct {
 	solver *num.SparseSolver
 	// x is the warm-start field: the displacement from the uniform
 	// inlet temperature, which the inlet baseline alone holds at zero
-	// (see Response). t is x + T_in, the field extract reads, sized on
-	// the first Solve (a Session used only through Response never
-	// needs it).
+	// (see Response). t is x + T_in, the field extract reads. Both are
+	// sized on the first Solve: a Session used only through Response
+	// never needs them.
 	x, t []float64
 	warm bool
 	last num.IterResult
@@ -55,7 +55,7 @@ type Session struct {
 // It and NewTransientSession are the only places a thermal operator gets
 // a solver; the cold Solve is a NewSession plus one solve.
 func NewSession(p *Problem) (*Session, error) {
-	s, err := assemble(p)
+	s, err := assemble(p, false)
 	if err != nil {
 		return nil, err
 	}
@@ -65,9 +65,11 @@ func NewSession(p *Problem) (*Session, error) {
 		s: s,
 		// Advection makes the network nonsymmetric: BiCGSTAB, no scan.
 		// MaxIter rides the capped default so exhaustion surfaces as
-		// num.ErrMaxIter instead of burning 60*n iterations.
-		solver: num.NewSparseSolverSymmetric(a, false, num.IterOptions{Tol: 1e-10}),
-		x:      make([]float64, s.n),
+		// num.ErrMaxIter instead of burning 60*n iterations. The
+		// unknowns sit in grid order (solid layers, then one plane per
+		// cavity's fluid), so the shape gets the semicoarsened
+		// multigrid.
+		solver: num.NewSparseSolverSymmetric(a, false, num.IterOptions{Tol: 1e-10, Shape: &num.GridShape{NX: s.nx, NY: s.ny, NZ: s.nz + len(s.cavKs)}}),
 	}
 	return ses, nil
 }
@@ -103,6 +105,9 @@ func (ss *Session) SolveContext(ctx context.Context, power *mesh.Field2D, extraF
 		sessionSolvesWarm.Inc()
 	} else {
 		sessionSolvesCold.Inc()
+	}
+	if ss.x == nil {
+		ss.x = make([]float64, ss.s.n)
 	}
 	res, err := ss.solver.Solve(b, ss.x)
 	ss.last = res

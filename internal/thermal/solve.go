@@ -65,9 +65,9 @@ func (p *Problem) Validate() error {
 type system struct {
 	grid       *mesh.Grid2D
 	co         *num.COO
-	b          []float64 // baseline RHS (inlet advection), no chip power or fluid heat
+	b          []float64 // baseline RHS (inlet advection), no chip power or fluid heat; transient only
 	rhs        []float64 // reused full-RHS buffer of rhsWithPower
-	cap        []float64 // heat capacity per node (J/K)
+	cap        []float64 // heat capacity per node (J/K); transient only
 	n          int
 	nx, ny, nz int
 	activeKs   []int // heat-source layer indices
@@ -146,14 +146,16 @@ func (s *system) fIdx(c, i, j int) int {
 }
 
 // stampCount is the number of COO stamps assemble makes for an
-// nx x ny grid of nz solid layers and nCav channel cavities: four per
-// solid neighbour pair (two per direction of the conductance), and per
-// fluid node four for the wall coupling plus one for the upstream
-// advection (none at the inlet). Clogged columns skip their zero
-// advection stamps, so it is an upper bound.
+// nx x ny grid of nz solid layers and nCav channel cavities: two per
+// solid neighbour pair (one off-diagonal per direction of the
+// conductance), one diagonal per solid node, and per fluid node its
+// diagonal, the two wall couplings and the upstream advection (none at
+// the inlet). Every stamp lands on a distinct entry, so this is the
+// matrix's nonzero count; clogged columns skip their zero advection
+// stamps, so for them it is an upper bound.
 func stampCount(nx, ny, nz, nCav int) int {
 	solidPairs := nz*ny*(nx-1) + nz*(ny-1)*nx + (nz-1)*ny*nx
-	return 4*solidPairs + nCav*(4*nx*ny+nx*(ny-1))
+	return 2*solidPairs + nx*ny*nz + nCav*(3*nx*ny+nx*(ny-1))
 }
 
 // toCSR converts the assembled stamps and drops the builder, so a
@@ -164,9 +166,11 @@ func (s *system) toCSR() *num.CSR {
 	return a
 }
 
-// assemble builds the steady-state network (conductances, sources,
-// advection) plus per-node heat capacities for the transient solver.
-func assemble(p *Problem) (*system, error) {
+// assemble builds the steady-state network (conductances and
+// advection). A transient system also gets the inlet baseline s.b and
+// the per-node heat capacities s.cap; the steady sessions solve for the
+// displacement from the inlet field and need neither.
+func assemble(p *Problem, transient bool) (*system, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -194,10 +198,12 @@ func assemble(p *Problem) (*system, error) {
 	n := nSolid + len(cavKs)*nx*ny
 	s := &system{
 		grid: g, co: num.NewCOO(n, n),
-		b: make([]float64, n), cap: make([]float64, n),
 		n: n, nx: nx, ny: ny, nz: nz,
 		activeKs: activeKs, cavKs: cavKs,
 		inletT: p.Stack.Channels.InletTemperature,
+	}
+	if transient {
+		s.b, s.cap = make([]float64, n), make([]float64, n)
 	}
 	s.co.Grow(stampCount(nx, ny, nz, len(cavKs)))
 	spec := p.Stack.Channels
@@ -210,8 +216,13 @@ func assemble(p *Problem) (*system, error) {
 		}
 		return kc
 	}
+	// A solid node's diagonal collects a conductance from each of its
+	// neighbours and its wall coupling: it is summed here in stamp
+	// order (so the matrix is bitwise what one diagonal stamp per
+	// conductance would give) and stamped once after the loops.
+	diag := make([]float64, nSolid)
 	stamp := func(a, c int, cond float64) {
-		s.co.Add(a, a, cond)
+		diag[a] += cond
 		s.co.Add(a, c, -cond)
 	}
 	for k := 0; k < nz; k++ {
@@ -226,7 +237,9 @@ func assemble(p *Problem) (*system, error) {
 				row := s.sIdx(i, j, k)
 				dx := g.X.Widths[i]
 				dy := g.Y.Widths[j]
-				s.cap[row] = cvol * dx * dy * t
+				if transient {
+					s.cap[row] = cvol * dx * dy * t
+				}
 				if i < nx-1 {
 					cond := kc * (dy * t) / g.X.CenterSpacing(i)
 					stamp(row, s.sIdx(i+1, j, k), cond)
@@ -288,14 +301,20 @@ func assemble(p *Problem) (*system, error) {
 					atInlet = j == ny-1
 					upstream = j + 1
 				}
-				if atInlet {
-					s.b[fRow] += mcCell * spec.InletTemperature
-				} else {
+				switch {
+				case !atInlet:
 					s.co.Add(fRow, s.fIdx(c, i, upstream), -mcCell)
+				case transient:
+					s.b[fRow] += mcCell * spec.InletTemperature
 				}
-				s.cap[fRow] = fluidCapPerCell * dy
+				if transient {
+					s.cap[fRow] = fluidCapPerCell * dy
+				}
 			}
 		}
+	}
+	for row, d := range diag {
+		s.co.Add(row, row, d)
 	}
 	return s, nil
 }

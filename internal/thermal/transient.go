@@ -126,7 +126,7 @@ func NewTransientSession(p *Problem, t0, dt float64) (*TransientSession, error) 
 	if t0 <= 0 {
 		return nil, fmt.Errorf("thermal: nonpositive initial temperature %g", t0)
 	}
-	s, err := assemble(p)
+	s, err := assemble(p, true)
 	if err != nil {
 		return nil, err
 	}
