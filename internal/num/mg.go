@@ -207,9 +207,10 @@ func invDiagOf(a *CSR) ([]float64, error) {
 // them. Its transfers are piecewise constant over 2×2 aggregates, with
 // the Galerkin coarse operator summed straight from the fine rows (a
 // bilinear Galerkin product can leave a coarse row without a diagonal
-// on these operators). Each level is smoothed by ILU(0) before and
-// after its coarse correction, and the coarsest (at most
-// mgSemiCoarsestN unknowns) is solved by dense LU. fine is the ILU(0)
+// on these operators). Each level is smoothed by ILU(0) after its
+// coarse correction, and every level but the finest before it too (see
+// semiCycle); the coarsest (at most mgSemiCoarsestN unknowns) is solved
+// by dense LU. fine is the ILU(0)
 // factor of a when the caller has already built it (nil factors it
 // here); the coarser levels are factored here. A failed factorization
 // fails the build.
