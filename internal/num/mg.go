@@ -43,6 +43,18 @@ func (s GridShape) covers(a *CSR) bool {
 	return s.NX > 0 && s.NY > 0 && s.Cells() == a.Rows
 }
 
+// check reports whether a is square and the shape describes exactly
+// its unknowns.
+func (s GridShape) check(a *CSR) error {
+	if a.Rows != a.Cols {
+		return ErrShape
+	}
+	if !s.covers(a) {
+		return fmt.Errorf("num: grid shape %dx%dx%d does not cover %d unknowns", s.NX, s.NY, s.nz(), a.Rows)
+	}
+	return nil
+}
+
 // coarsen halves every axis (cell-centered: ceil(n/2)).
 func (s GridShape) coarsen() GridShape {
 	h := func(n int) int { return (n + 1) / 2 }
@@ -118,12 +130,8 @@ func (m *Multigrid) Levels() int { return len(m.levels) }
 // prolongation, full-weighting restriction R = P^T, and Galerkin coarse
 // operators, re-coarsening by 2 per axis until mgCoarsestN.
 func NewGMG(a *CSR, shape GridShape) (*Multigrid, error) {
-	if a.Rows != a.Cols {
-		return nil, ErrShape
-	}
-	if !shape.covers(a) {
-		return nil, fmt.Errorf("num: grid shape %dx%dx%d does not cover %d unknowns",
-			shape.NX, shape.NY, shape.nz(), a.Rows)
+	if err := shape.check(a); err != nil {
+		return nil, err
 	}
 	m := &Multigrid{}
 	cur := a
@@ -215,12 +223,8 @@ func invDiagOf(a *CSR) ([]float64, error) {
 // here); the coarser levels are factored here. A failed factorization
 // fails the build.
 func NewSemiGMG(a *CSR, shape GridShape, fine *ILU0) (*Multigrid, error) {
-	if a.Rows != a.Cols {
-		return nil, ErrShape
-	}
-	if !shape.covers(a) {
-		return nil, fmt.Errorf("num: grid shape %dx%dx%d does not cover %d unknowns",
-			shape.NX, shape.NY, shape.nz(), a.Rows)
+	if err := shape.check(a); err != nil {
+		return nil, err
 	}
 	m := &Multigrid{}
 	cur, curShape, smoother := a, shape, fine

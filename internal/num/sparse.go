@@ -66,9 +66,11 @@ func (c *COO) ToCSR() *CSR {
 	if n > math.MaxInt32 {
 		panic(fmt.Sprintf("num: %d COO stamps exceed int32 indexing", n))
 	}
-	// start[r] is the first slot of row r's bucket in perm. The
-	// scatter uses start[r+1] as row r's write cursor, which leaves it
-	// at the end of row r, that is at its final value.
+	// start[r] is the first slot of row r's bucket in perm. Counting
+	// row r's stamps into start[r+2] makes the prefix sum leave
+	// start[r+1] at row r's first slot; the scatter then advances it as
+	// row r's write cursor, which leaves it at row r's end, its final
+	// value.
 	start := make([]int, c.Rows+1)
 	for _, r := range c.ri {
 		if int(r) < c.Rows-1 {
