@@ -97,14 +97,17 @@ test-short:
 # (one chain per flow; the chains' grids concatenate to exactly
 # Grid()); FuzzCOOToCSR pins sparse assembly (the CSR equals a dense
 # accumulation of the stamps in stamp order, bitwise, with strictly
-# ascending columns per row). Longer runs: bump FUZZTIME.
+# ascending columns per row); FuzzCSRMulVec and FuzzILU0Apply pin the
+# four-row SpMV and the register-carried ILU(0) sweeps to their one-row
+# reference loops, bitwise. Longer runs: bump FUZZTIME.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzCanonicalKey -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzChainKey -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run xxx -fuzz FuzzCacheSnapshotRestore -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzSweepChains -fuzztime $(FUZZTIME) ./internal/sim
-	$(GO) test -run xxx -fuzz FuzzSELLRoundTrip -fuzztime $(FUZZTIME) ./internal/num
+	$(GO) test -run xxx -fuzz FuzzCSRMulVec -fuzztime $(FUZZTIME) ./internal/num
+	$(GO) test -run xxx -fuzz FuzzILU0Apply -fuzztime $(FUZZTIME) ./internal/num
 	$(GO) test -run xxx -fuzz FuzzCOOToCSR -fuzztime $(FUZZTIME) ./internal/num
 
 # Full benchmark sweep over the numeric kernels, the thermal solver,
@@ -113,7 +116,8 @@ fuzz:
 # allocs/op, the paired speedup rows (Jacobi vs multigrid
 # preconditioning, Jacobi vs ILU(0) and ILU(0) vs the semicoarsened
 # multigrid on the thermal unit responses,
-# sequential vs block multi-RHS CG, CSR vs SELL-C-σ SpMV) and the
+# sequential vs block multi-RHS CG, the one-row reference loops vs the
+# SpMV and ILU(0)-apply kernels) and the
 # streaming frames/s rows, stamped with the Go version
 # and core count of the generating machine. The num suite runs -count 3 so the
 # committed speedup rows are medians (see cmd/benchjson), not single
@@ -140,35 +144,34 @@ bench-serving:
 # (BenchmarkThermalResponse: /jacobi vs /ilu0 and /ilu0 vs /mg wall
 # clock on the 676 ml/min operator), the block multi-RHS couple
 # (BenchmarkBlockCG128x128: /seq vs /block, gated on the deterministic
-# rows/op metric) and the SELL-C-σ layout couples (BenchmarkSpMV*:
-# /csr vs /sell on the 256²/512²/stacked-die operators), and fails if
-# any optimized path drops below 1.0x its baseline, or if any pair goes
-# missing. -count 3 lets benchjson gate
-# on per-benchmark medians, so a CPU-frequency dip on a shared box
-# cannot flake a timing ratio.
+# rows/op metric), the SpMV couples (BenchmarkSpMV*: the one-row
+# /rowloop vs CSR.MulVec's four-row /csr on the 256²/512²/stacked-die
+# and Power7 thermal operators) and the ILU(0)-apply couple
+# (BenchmarkILU0ApplyPower7: the row-loop /reference vs the
+# register-carried /apply), and fails if any optimized path drops
+# below 1.0x its baseline, or if any pair goes missing. -count 3 lets
+# benchjson gate on per-benchmark medians, so a CPU-frequency dip on a
+# shared box cannot flake a timing ratio.
 bench-compare:
-	$(GO) test -run xxx -bench 'BenchmarkCGPoisson|BenchmarkCGStack3D|BenchmarkBlockCG|BenchmarkSpMV' -count 3 -benchmem ./internal/num > /tmp/bench_mg.txt
+	$(GO) test -run xxx -bench 'BenchmarkCGPoisson|BenchmarkCGStack3D|BenchmarkBlockCG|BenchmarkSpMV|BenchmarkILU0Apply' -count 3 -benchmem ./internal/num > /tmp/bench_mg.txt
 	$(GO) test -run xxx -bench BenchmarkThermalResponse -count 3 -benchmem ./internal/thermal > /tmp/bench_ilu.txt
 	$(GO) run ./cmd/benchjson -min-mg-speedup 1.0 -min-speedup 1.0 -o /dev/null /tmp/bench_mg.txt /tmp/bench_ilu.txt
 
 # Static allocation guard for the kernel hot paths. In
-# internal/num/kernels.go and internal/num/mgcycle.go (the multigrid
-# V-cycles, apart from their constructors in mg.go) no heap escape is
-# allowed; in
-# internal/num/sellcs.go only the SELL-C-σ constructor (NewSELLCS, run
-# once at solver setup) may allocate — the sliced kernel's accumulators
-# must stay on the stack; in internal/num/ilu.go only the ILU(0)
-# constructor (NewILU0, run once at solver setup) may allocate — the
-# forward/back sweeps of Apply run on every Krylov iteration. Anything else — a closure capturing operands,
+# internal/num/kernels.go (the BLAS-1 loops and the SpMV) and
+# internal/num/mgcycle.go (the multigrid V-cycles, apart from their
+# constructors in mg.go) no heap escape is allowed; in
+# internal/num/ilu.go only the ILU(0) constructor (NewILU0, run once at
+# solver setup) may allocate — the forward/back sweeps of Apply run on
+# every Krylov iteration. Anything else — a closure capturing operands,
 # a buffer escaping per call — would put an allocation on every kernel
 # op and break the zero-allocs/op solve loop, so it fails the gate.
 # The dynamic twins of this guard are TestKrylovWorkspaceZeroAlloc and
 # TestMGApplyZeroAlloc.
 escape-check:
 	@out=$$($(GO) build -gcflags=-m ./internal/num 2>&1 \
-		| grep -E 'kernels\.go|mgcycle\.go|sellcs\.go|ilu\.go' \
+		| grep -E 'kernels\.go|mgcycle\.go|ilu\.go' \
 		| grep -E 'escapes to heap|moved to heap' \
-		| grep -vE 'make\(\[\]int32, rows\)|make\(\[\]int, nSlices \+ 1\)|make\(\[\]int32, padded\)|make\(\[\]float64, padded\)|&SELLCS\{\.\.\.\}' \
 		| grep -vE 'ilu\.go:.*(make\(\[\]float64, len\(a\.Val\)\)|make\(\[\]int, n\)|&ILU0\{\.\.\.\})'); \
 	if [ -n "$$out" ]; then \
 		echo "escape-check: unexpected heap escapes in the kernel hot path:"; \

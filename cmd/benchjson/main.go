@@ -5,7 +5,8 @@
 // B/op, allocs/op and any custom metrics, plus speedup pairs for
 // benchmarks that expose paired sub-benchmarks: /jacobi vs /mg,
 // /jacobi vs /ilu0 and /ilu0 vs /mg (preconditioner), /seq vs /block
-// (multi-RHS CG) and /csr vs /sell (SELL-C-σ SpMV layout).
+// (multi-RHS CG), /rowloop vs /csr (SpMV) and /reference vs /apply
+// (ILU(0) sweeps).
 //
 // Usage:
 //
@@ -21,8 +22,9 @@
 // The floors turn the report into a regression gate: after writing the
 // output, -min-mg-speedup exits nonzero if any jacobi-vs-mg pair falls
 // below the threshold, and -min-speedup does the same for the ilu0,
-// ilu0-mg, blockcg and sell pairings — each gated kind must also be present at
-// all (a silently skipped benchmark must not pass the gate).
+// ilu0-mg, blockcg, spmv and ilu0-apply pairings — each gated kind must
+// also be present at all (a silently skipped benchmark must not pass
+// the gate).
 // `make bench-compare` runs both at 1.0 so no optimized solver path can
 // quietly regress below its baseline on the reference grids.
 //
@@ -74,7 +76,7 @@ type Benchmark struct {
 // Speedup pairs a benchmark's baseline and optimized variants. Kind
 // names the pairing: "mg" for /jacobi vs /mg, "ilu0" for /jacobi vs
 // /ilu0, "ilu0-mg" for /ilu0 vs /mg, "blockcg" for /seq vs /block,
-// "sell" for /csr vs /sell.
+// "spmv" for /rowloop vs /csr, "ilu0-apply" for /reference vs /apply.
 type Speedup struct {
 	Name string `json:"name"`
 	Kind string `json:"kind"`
@@ -104,14 +106,16 @@ var suffixPairs = []struct{ kind, baseline, variant string }{
 	{"ilu0", "/jacobi", "/ilu0"},
 	{"ilu0-mg", "/ilu0", "/mg"},
 	{"blockcg", "/seq", "/block"},
-	{"sell", "/csr", "/sell"},
+	{"spmv", "/rowloop", "/csr"},
+	{"ilu0-apply", "/reference", "/apply"},
 }
 
 // gatedKinds are the pairings -min-speedup enforces: each must appear at
 // least once and every pair must meet the floor. They cover ILU(0) on
 // the thermal unit responses and the semicoarsened multigrid over it,
-// block multi-RHS CG and the SELL-C-σ SpMV layout.
-var gatedKinds = []string{"ilu0", "ilu0-mg", "blockcg", "sell"}
+// block multi-RHS CG, and the SpMV and ILU(0) kernels against their
+// one-row reference loops.
+var gatedKinds = []string{"ilu0", "ilu0-mg", "blockcg", "spmv", "ilu0-apply"}
 
 // Report is the emitted document.
 type Report struct {
@@ -133,7 +137,7 @@ func main() {
 	minMG := flag.Float64("min-mg-speedup", 0,
 		"exit nonzero if any jacobi-vs-mg pair's speedup falls below this, or none exists (0 disables)")
 	minSpeedup := flag.Float64("min-speedup", 0,
-		"exit nonzero unless every ilu0, ilu0-mg, blockcg and sell pair exists and meets this floor (0 disables)")
+		"exit nonzero unless every ilu0, ilu0-mg, blockcg, spmv and ilu0-apply pair exists and meets this floor (0 disables)")
 	flag.Parse()
 
 	rep := &Report{
@@ -381,7 +385,7 @@ func pairMetric(kind string, base, variant Benchmark) (unit string, bv, vv float
 }
 
 // speedups pairs every recognized baseline/variant sub-benchmark couple
-// (Foo/jacobi with Foo/mg, Foo/csr with Foo/sell, ...).
+// (Foo/jacobi with Foo/mg, Foo/rowloop with Foo/csr, ...).
 func speedups(benches []Benchmark) []Speedup {
 	byName := map[string]Benchmark{}
 	for _, b := range benches {

@@ -354,32 +354,25 @@ func BenchmarkCGWarmWorkspace(b *testing.B) {
 	}
 }
 
-// benchSpMV runs the sparse-layout couple on one operator: /csr vs
-// /sell (CSR gather vs SELL-C-σ sliced kernel). Each sub reports
-// rows/op — the deterministic traversal metric benchjson uses to
-// sanity-match the pair — and the wall-clock ratio is the gated SELL
-// speedup row in make bench-compare. The SELL mirror is built directly
-// (not attached to a) so each sub times exactly one kernel.
+// benchSpMV runs the SpMV couple on one operator: /rowloop (the
+// one-row reference loop) vs /csr (CSR.MulVec's four-row walk); the
+// wall-clock ratio is the gated spmv row in make bench-compare.
 func benchSpMV(b *testing.B, a *CSR) {
 	x := make([]float64, a.Cols)
 	for i := range x {
 		x[i] = float64(i%7) - 3
 	}
 	y := make([]float64, a.Rows)
-	s := NewSELLCS(a)
-	if s == nil {
-		b.Fatal("NewSELLCS returned nil")
-	}
-	run := func(b *testing.B, f func()) {
-		rows0 := spmvRowsTraversed.Value()
-		b.ResetTimer()
+	b.Run("rowloop", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			f()
+			mulVecRowLoop(a, x, y)
 		}
-		b.ReportMetric(float64(spmvRowsTraversed.Value()-rows0)/float64(b.N), "rows/op")
-	}
-	b.Run("csr", func(b *testing.B) { run(b, func() { a.MulVec(x, y) }) })
-	b.Run("sell", func(b *testing.B) { run(b, func() { s.MulVec(x, y) }) })
+	})
+	b.Run("csr", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			a.MulVec(x, y)
+		}
+	})
 }
 
 // BenchmarkSpMV256x256 / 512x512: the PDN/thermal Poisson operators at
@@ -392,6 +385,38 @@ func BenchmarkSpMV512x512(b *testing.B) { benchSpMV(b, laplacian2D(512)) }
 // inter-tier microchannel coupling), the anisotropic 7-point stencil
 // from the through-chip-microchannel scenario.
 func BenchmarkSpMVStack128x4(b *testing.B) { benchSpMV(b, stack3D(128, 128, 4, 6)) }
+
+// BenchmarkSpMVPower7 is the Power7 single-cavity thermal operator
+// (88x64x4 solid + one fluid layer, 28 160 rows), the product every
+// BiCGSTAB iteration of a cold evaluate runs twice.
+func BenchmarkSpMVPower7(b *testing.B) { benchSpMV(b, thermalStampPattern(88, 64, 4).ToCSR()) }
+
+// BenchmarkILU0ApplyPower7 is the ILU(0) couple on the same operator:
+// /reference (the row loop, every neighbour reloaded from z) vs /apply
+// (ILU0.Apply, the adjacent row carried in a register), the gated
+// ilu0-apply row in make bench-compare.
+func BenchmarkILU0ApplyPower7(b *testing.B) {
+	a := thermalStampPattern(88, 64, 4).ToCSR()
+	f, err := NewILU0(a)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := make([]float64, a.Rows)
+	for i := range r {
+		r[i] = float64(i%7) - 3
+	}
+	z := make([]float64, a.Rows)
+	b.Run("reference", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f.applyRowLoop(r, z)
+		}
+	})
+	b.Run("apply", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f.Apply(r, z)
+		}
+	})
+}
 
 // thermalStampPattern stamps the steady thermal network's pattern in
 // its assembly order: an nx x ny x nz solid grid with two-sided

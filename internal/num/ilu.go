@@ -26,9 +26,9 @@ var ErrILUPattern = errors.New("num: ILU(0) needs strictly ascending columns per
 // and vertical conductances, and fluid rows that form an upwind chain
 // along each channel — the factor captures the strong couplings that
 // defeat Jacobi, and BiCGSTAB needs a fifth to a seventh of Jacobi's
-// iterations. Like SELLCS it is a snapshot: later mutation of the
-// source's values is not observed, but its index arrays must not be
-// mutated while the factor is in use.
+// iterations. It is a snapshot: later mutation of the source's values
+// is not observed, but its index arrays must not be mutated while the
+// factor is in use.
 type ILU0 struct {
 	rowPtr, colIdx []int
 	val            []float64
@@ -95,20 +95,49 @@ func NewILU0(a *CSR) (*ILU0, error) {
 
 // Apply computes z = (L·U)⁻¹ r by a forward sweep through L and a
 // backward sweep through U. It allocates nothing; r and z may alias.
+//
+// Each sweep is one chain of dependent rows, so its speed is set by
+// latency, not bandwidth. In natural order a row's last lower entry is
+// usually column i−1 and its first upper entry column i+1: the value
+// the sweep wrote one row earlier. That value is carried in a register
+// (prev, next) instead of being stored and reloaded from z, which takes
+// a store-to-load round trip off every row of the chain. Each row still
+// subtracts its entries in ascending column order, so z is bitwise the
+// plain row loop's; a row without that neighbour runs the plain loop.
 func (f *ILU0) Apply(r, z []float64) {
-	n := len(f.diag)
+	rowPtr, colIdx, val, diag := f.rowPtr, f.colIdx, f.val, f.diag
+	n := len(diag)
+	prev := 0.0 // z[i-1]
 	for i := 0; i < n; i++ {
 		s := r[i]
-		for p := f.rowPtr[i]; p < f.diag[i]; p++ {
-			s -= f.val[p] * z[f.colIdx[p]]
+		lo, d := rowPtr[i], diag[i]
+		if d > lo && colIdx[d-1] == i-1 {
+			for p := lo; p < d-1; p++ {
+				s -= val[p] * z[colIdx[p]]
+			}
+			s -= val[d-1] * prev
+		} else {
+			for p := lo; p < d; p++ {
+				s -= val[p] * z[colIdx[p]]
+			}
 		}
 		z[i] = s
+		prev = s
 	}
+	next := 0.0 // z[i+1]
 	for i := n - 1; i >= 0; i-- {
 		s := z[i]
-		for p := f.diag[i] + 1; p < f.rowPtr[i+1]; p++ {
-			s -= f.val[p] * z[f.colIdx[p]]
+		d, hi := diag[i], rowPtr[i+1]
+		p := d + 1
+		if p < hi && colIdx[p] == i+1 {
+			s -= val[p] * next
+			p++
 		}
-		z[i] = s * f.val[f.diag[i]]
+		for ; p < hi; p++ {
+			s -= val[p] * z[colIdx[p]]
+		}
+		s *= val[d]
+		z[i] = s
+		next = s
 	}
 }

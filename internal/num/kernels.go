@@ -15,14 +15,42 @@ func KernelThreads() int { return 1 }
 
 // Kernel loops over the row range [lo, hi).
 
+// mulVecRange walks the rows four at a time with one register
+// accumulator each. A row's sum is one chain of dependent FP adds, so
+// a one-row loop waits on the add latency at every entry; four
+// independent chains overlap it. Each row still adds its entries in
+// ascending column order: the four run in step for the group's shortest
+// row, then each finishes its own tail, so every y[i] is bitwise the
+// one-row loop's.
 func mulVecRange(m *CSR, x, y []float64, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		s := 0.0
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			s += m.Val[k] * x[m.ColIdx[k]]
+	rowPtr, colIdx, val := m.RowPtr, m.ColIdx, m.Val
+	i := lo
+	for ; i+4 <= hi; i += 4 {
+		p0, p1, p2, p3, p4 := rowPtr[i], rowPtr[i+1], rowPtr[i+2], rowPtr[i+3], rowPtr[i+4]
+		l := min(p1-p0, p2-p1, p3-p2, p4-p3)
+		var s0, s1, s2, s3 float64
+		for t := 0; t < l; t++ {
+			s0 += val[p0+t] * x[colIdx[p0+t]]
+			s1 += val[p1+t] * x[colIdx[p1+t]]
+			s2 += val[p2+t] * x[colIdx[p2+t]]
+			s3 += val[p3+t] * x[colIdx[p3+t]]
 		}
-		y[i] = s
+		y[i] = rowTail(val, colIdx, x, s0, p0+l, p1)
+		y[i+1] = rowTail(val, colIdx, x, s1, p1+l, p2)
+		y[i+2] = rowTail(val, colIdx, x, s2, p2+l, p3)
+		y[i+3] = rowTail(val, colIdx, x, s3, p3+l, p4)
 	}
+	for ; i < hi; i++ {
+		y[i] = rowTail(val, colIdx, x, 0, rowPtr[i], rowPtr[i+1])
+	}
+}
+
+// rowTail adds the entries [lo, hi) of one row onto s, in order.
+func rowTail(val []float64, colIdx []int, x []float64, s float64, lo, hi int) float64 {
+	for k := lo; k < hi; k++ {
+		s += val[k] * x[colIdx[k]]
+	}
+	return s
 }
 
 func dotRange(x, y []float64, lo, hi int) float64 {

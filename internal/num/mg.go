@@ -156,16 +156,12 @@ func NewGMG(a *CSR, shape GridShape) (*Multigrid, error) {
 	return m, nil
 }
 
-// pushLevel appends a non-coarsest level with prolongation p. Each
-// level's operator goes through the layout rule, which naturally
-// leaves small coarse levels in CSR; transfers stay CSR — they are
-// applied once per cycle and their rectangular shapes pad badly.
+// pushLevel appends a non-coarsest level with prolongation p.
 func (m *Multigrid) pushLevel(a *CSR, p *CSR) error {
 	inv, err := invDiagOf(a)
 	if err != nil {
 		return err
 	}
-	a.ensureFormat()
 	m.levels = append(m.levels, &mgLevel{
 		a: a, invDiag: inv, p: p, r: p.Transpose(),
 		x: make([]float64, a.Rows), b: make([]float64, a.Rows), res: make([]float64, a.Rows),
@@ -179,7 +175,6 @@ func (m *Multigrid) finish(a *CSR) error {
 	if err != nil {
 		return err
 	}
-	a.ensureFormat()
 	m.levels = append(m.levels, &mgLevel{
 		a: a, invDiag: inv,
 		x: make([]float64, a.Rows), b: make([]float64, a.Rows), res: make([]float64, a.Rows),
@@ -240,7 +235,6 @@ func NewSemiGMG(a *CSR, shape GridShape, fine *ILU0) (*Multigrid, error) {
 			}
 			smoother = f
 		}
-		cur.ensureFormat()
 		lev := &mgLevel{a: cur, ilu: smoother, agg: aggregates(curShape, next), res: make([]float64, cur.Rows)}
 		if len(m.levels) > 0 {
 			lev.x, lev.b = make([]float64, cur.Rows), make([]float64, cur.Rows)

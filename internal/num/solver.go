@@ -73,16 +73,13 @@ func NewSparseSolver(a *CSR, opt IterOptions) *SparseSolver {
 // a CG breakdown falls back to BiCGSTAB on the same cached
 // preconditioner.
 //
-// The solver's layout and preconditioner follow from the operator
-// alone: a gets the SELL-C-σ mirror when it has at least 4096 rows and
-// pads by at most 25%, and unless opt.M is set the preconditioner is
-// chosen by size, symmetry and opt.Shape: for an operator of at least
-// MGAutoThreshold rows whose grid opt.Shape describes, geometric
+// Unless opt.M is set, the preconditioner follows from the operator
+// alone, chosen by size, symmetry and opt.Shape: for an operator of at
+// least MGAutoThreshold rows whose grid opt.Shape describes, geometric
 // multigrid (Jacobi-smoothed when symmetric, the semicoarsened
 // ILU(0)-smoothed hierarchy when not: the thermal networks); otherwise
 // ILU(0) for a nonsymmetric operator and Jacobi for a symmetric one.
 func NewSparseSolverSymmetric(a *CSR, symmetric bool, opt IterOptions) *SparseSolver {
-	a.ensureFormat()
 	s := &SparseSolver{a: a, sym: symmetric, opt: opt}
 	if opt.M != nil {
 		s.pre = opt.M

@@ -251,33 +251,6 @@ func TestKrylovWorkspaceZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("BlockCG allocates %.1f per solve, want 0", allocs)
 	}
-
-	// SELL-backed solves: the format conversion happens at attachSELL
-	// (setup, may allocate); once the mirror is attached, steady-state
-	// MulVec and the solve loop through it must stay allocation-free.
-	as := laplacian2D(24)
-	as.attachSELL()
-	if as.sell.Load() == nil {
-		t.Fatal("SELL mirror not attached")
-	}
-	y := make([]float64, n)
-	allocs = testing.AllocsPerRun(20, func() { as.MulVec(b, y) })
-	if allocs != 0 {
-		t.Fatalf("SELL MulVec allocates %.1f per call, want 0", allocs)
-	}
-	opt.M = NewJacobi(as)
-	if _, err := CGWith(as, b, x, opt, ws); err != nil {
-		t.Fatal(err)
-	}
-	allocs = testing.AllocsPerRun(20, func() {
-		Fill(x, 0)
-		if _, err := CGWith(as, b, x, opt, ws); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("SELL-backed CGWith allocates %.1f per solve, want 0", allocs)
-	}
 }
 
 // TestSparseSolverTelemetry pins the process-wide Krylov counters: a CG

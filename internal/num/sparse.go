@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 )
 
 // COO is a coordinate-format sparse matrix builder. Duplicate entries are
@@ -144,35 +143,13 @@ type CSR struct {
 	RowPtr     []int
 	ColIdx     []int
 	Val        []float64
-
-	// sell is the optional SELL-C-σ mirror attached by ensureFormat at
-	// solver/hierarchy setup. When present, MulVec runs the sliced
-	// kernel instead of the row gather; results are bitwise identical
-	// either way. The pointer is atomic so a mirror can be attached
-	// while other goroutines multiply.
-	sell atomic.Pointer[SELLCS]
 }
 
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.Val) }
 
-// Layout reports the layout MulVec runs on: "sell" once a SELL-C-σ
-// mirror is attached, "csr" otherwise.
-func (m *CSR) Layout() string {
-	if m.sell.Load() != nil {
-		return "sell"
-	}
-	return "csr"
-}
-
 // MulVec computes y = m*x, each row summed in ascending column order.
-// With a SELL-C-σ mirror attached the product runs on it, bitwise
-// identical.
 func (m *CSR) MulVec(x, y []float64) {
-	if s := m.sell.Load(); s != nil {
-		s.MulVec(x, y) // counts its own traversed rows
-		return
-	}
 	if len(x) != m.Cols || len(y) != m.Rows {
 		panic(ErrShape)
 	}

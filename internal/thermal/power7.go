@@ -1,8 +1,12 @@
 package thermal
 
 import (
+	"slices"
+	"sync"
+
 	"bright/internal/cfd"
 	"bright/internal/floorplan"
+	"bright/internal/mesh"
 	"bright/internal/units"
 )
 
@@ -39,7 +43,8 @@ func VanadiumCoolant() cfd.Fluid {
 // full-load power map under the Table II flow-cell array at the given
 // total flow (ml/min) and inlet temperature (K). extraFluidHeat carries
 // the flow cells' own electrochemical losses (W); pass 0 to reproduce
-// the pure heat-removal map.
+// the pure heat-removal map. Each problem gets its own copy of the map,
+// so a caller may edit p.Power freely.
 func Power7Problem(totalMLMin, inletT, extraFluidHeat float64) *Problem {
 	f := floorplan.Power7()
 	spec := Power7ChannelSpec(units.MLPerMinToM3PerS(totalMLMin), inletT, VanadiumCoolant())
@@ -49,6 +54,14 @@ func Power7Problem(totalMLMin, inletT, extraFluidHeat float64) *Problem {
 		Stack:          Power7Stack(spec),
 		ExtraFluidHeat: extraFluidHeat,
 	}
-	p.Power = f.Rasterize(p.Grid(), floorplan.Power7FullLoad())
+	p.Power = &mesh.Field2D{Grid: p.Grid(), Data: slices.Clone(power7FullLoad().Data)}
 	return p
 }
+
+// power7FullLoad is the full-load map on the default 88x64 grid. It
+// does not depend on the flow, so it is rasterized once per process.
+var power7FullLoad = sync.OnceValue(func() *mesh.Field2D {
+	f := floorplan.Power7()
+	p := Problem{DieWidth: f.Width, DieHeight: f.Height}
+	return f.Rasterize(p.Grid(), floorplan.Power7FullLoad())
+})

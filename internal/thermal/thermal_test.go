@@ -2,9 +2,11 @@ package thermal
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"bright/internal/floorplan"
+	"bright/internal/mesh"
 	"bright/internal/units"
 )
 
@@ -398,5 +400,22 @@ func TestCounterFlowEvensGradient(t *testing.T) {
 	// Peak unchanged or slightly better.
 	if solC.PeakT > uni.PeakT+0.05 {
 		t.Fatalf("counterflow peak %.2f worse than uniflow %.2f", solC.PeakT, uni.PeakT)
+	}
+}
+
+// TestPower7ProblemOwnsItsMap: the full-load map is rasterized once per
+// process, yet every problem gets its own copy, equal to a fresh
+// rasterization, so editing one problem's map leaves the next intact.
+func TestPower7ProblemOwnsItsMap(t *testing.T) {
+	a := Power7Problem(676, 300, 0)
+	f := floorplan.Power7()
+	want := f.Rasterize(a.Grid(), floorplan.Power7FullLoad())
+	if !reflect.DeepEqual(a.Power, want) {
+		t.Fatal("memoized map differs from a fresh rasterization")
+	}
+	a.Power.Data[0] += 1
+	a.Power.Grid.X = mesh.Axis{}
+	if b := Power7Problem(48, 300, 0); !reflect.DeepEqual(b.Power, want) {
+		t.Fatal("editing one problem's map changed the next problem's")
 	}
 }
