@@ -159,8 +159,8 @@ bench-compare:
 
 # Static allocation guard for the kernel hot paths. In
 # internal/num/kernels.go (the BLAS-1 loops and the SpMV) and
-# internal/num/mgcycle.go (the multigrid V-cycles, apart from their
-# constructors in mg.go) no heap escape is allowed; in
+# internal/num/mgcycle.go (the multigrid V-cycle, apart from its
+# constructor in mg.go) no heap escape is allowed; in
 # internal/num/ilu.go only the ILU(0) constructor (NewILU0, run once at
 # solver setup) may allocate — the forward/back sweeps of Apply run on
 # every Krylov iteration. Anything else — a closure capturing operands,

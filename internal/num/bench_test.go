@@ -207,7 +207,9 @@ func BenchmarkCGLargeGrid(b *testing.B) {
 
 // benchPrecond runs one CG solve per iteration as /jacobi and /mg
 // sub-benchmarks — the suffix pairing cmd/benchjson keys on to compute
-// the multigrid speedup rows. MG setup happens outside the timed loop,
+// the multigrid speedup rows. /mg takes the preconditioner the solver
+// rule builds for the symmetric operator on its grid, so it measures
+// what the serving paths run. MG setup happens outside the timed loop,
 // matching how the serving paths cache the hierarchy per operator.
 func benchPrecond(b *testing.B, a *CSR, shape GridShape, tol float64) {
 	rng := rand.New(rand.NewSource(4))
@@ -226,9 +228,9 @@ func benchPrecond(b *testing.B, a *CSR, shape GridShape, tol float64) {
 		}
 	}
 	b.Run("jacobi", func(b *testing.B) { run(b, NewJacobi(a)) })
-	mg, err := NewGMG(a, shape)
-	if err != nil {
-		b.Fatal(err)
+	mg := NewSparseSolverSymmetric(a, true, IterOptions{Shape: &shape}).Precond()
+	if _, ok := mg.(*Multigrid); !ok {
+		b.Fatalf("solver rule built %T, want *Multigrid", mg)
 	}
 	b.Run("mg", func(b *testing.B) { run(b, mg) })
 }

@@ -75,10 +75,11 @@ func NewSparseSolver(a *CSR, opt IterOptions) *SparseSolver {
 //
 // Unless opt.M is set, the preconditioner follows from the operator
 // alone, chosen by size, symmetry and opt.Shape: for an operator of at
-// least MGAutoThreshold rows whose grid opt.Shape describes, geometric
-// multigrid (Jacobi-smoothed when symmetric, the semicoarsened
-// ILU(0)-smoothed hierarchy when not: the thermal networks); otherwise
-// ILU(0) for a nonsymmetric operator and Jacobi for a symmetric one.
+// least MGAutoThreshold rows whose grid opt.Shape describes, the
+// ILU(0)-smoothed multigrid hierarchy (the thermal networks and the
+// power grids), whose cycle is symmetric when the operator is so CG
+// stays valid; otherwise ILU(0) for a nonsymmetric operator and Jacobi
+// for a symmetric one.
 func NewSparseSolverSymmetric(a *CSR, symmetric bool, opt IterOptions) *SparseSolver {
 	s := &SparseSolver{a: a, sym: symmetric, opt: opt}
 	if opt.M != nil {

@@ -194,7 +194,7 @@ func TestKrylovWorkspaceZeroAlloc(t *testing.T) {
 
 	// Same contract with a multigrid preconditioner: hierarchy setup may
 	// allocate, the steady-state MG-preconditioned solve loop must not.
-	mg, err := NewGMG(a, GridShape{NX: 24, NY: 24})
+	mg, err := NewSemiGMG(a, GridShape{NX: 24, NY: 24}, nil, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,6 +172,19 @@ func (m *CSR) Diag() []float64 {
 	return d
 }
 
+// ToDense expands the sparse matrix into dense form (multigrid uses it
+// for the coarsest-level direct factorization; keep it off large
+// matrices).
+func (m *CSR) ToDense() *Dense {
+	d := NewDense(m.Rows, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			d.Set(i, m.ColIdx[k], m.Val[k])
+		}
+	}
+	return d
+}
+
 // At returns the entry at (i, j) (zero if not stored). It is O(row nnz)
 // and intended for tests and diagnostics, not inner loops.
 func (m *CSR) At(i, j int) float64 {

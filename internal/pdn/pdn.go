@@ -171,17 +171,24 @@ type layout struct {
 }
 
 func newLayout(p *Problem, g *mesh.Grid2D) layout {
-	l := layout{g: g, cache: make([]bool, g.NumCells()), sites: p.Sites, siteNodes: make([]int, len(p.Sites))}
-	for j := 0; j < g.NY(); j++ {
-		for i := 0; i < g.NX(); i++ {
-			u := p.Floorplan.UnitAt(g.X.Centers[i], g.Y.Centers[j])
-			l.cache[g.Index(i, j)] = u != nil && u.Kind.IsCache()
-		}
-	}
+	l := layout{g: g, cache: cacheMask(p, g), sites: p.Sites, siteNodes: make([]int, len(p.Sites))}
 	for k, s := range p.Sites {
 		l.siteNodes[k] = g.Index(g.X.FindCell(s.X), g.Y.FindCell(s.Y))
 	}
 	return l
+}
+
+// cacheMask marks, per cell index of g, the cells whose center lies in
+// a cache unit of the problem's floorplan.
+func cacheMask(p *Problem, g *mesh.Grid2D) []bool {
+	mask := make([]bool, g.NumCells())
+	for j := 0; j < g.NY(); j++ {
+		for i := 0; i < g.NX(); i++ {
+			u := p.Floorplan.UnitAt(g.X.Centers[i], g.Y.Centers[j])
+			mask[g.Index(i, j)] = u != nil && u.Kind.IsCache()
+		}
+	}
+	return mask
 }
 
 // solution extracts the Solution fields from a voltage vector, which

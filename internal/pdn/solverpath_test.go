@@ -1,6 +1,8 @@
 package pdn
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"bright/internal/num"
@@ -75,4 +77,52 @@ func TestSolverPath(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSymmetricCycleSelfAdjoint: on the PDN operator the multigrid
+// cycle the solver rule builds is a symmetric operator, ⟨M⁻¹u, v⟩ =
+// ⟨u, M⁻¹v⟩, as CG requires. The cycle built for a nonsymmetric
+// operator (no finest-level pre-smooth) fails the same check, so the
+// check can see a broken cycle.
+func TestSymmetricCycleSelfAdjoint(t *testing.T) {
+	p, _, err := Power7Problem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ses, err := NewSession(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := ses.solver.Matrix()
+	rng := rand.New(rand.NewSource(3))
+	u, v := make([]float64, a.Rows), make([]float64, a.Rows)
+	for i := range u {
+		u[i], v[i] = rng.Float64(), rng.Float64()
+	}
+	// asymmetry returns |⟨M⁻¹u, v⟩ - ⟨u, M⁻¹v⟩| relative to the larger
+	// of the two products.
+	asymmetry := func(m num.Preconditioner) float64 {
+		mu, mv := make([]float64, a.Rows), make([]float64, a.Rows)
+		m.Apply(u, mu)
+		m.Apply(v, mv)
+		x, y := num.Dot(mu, v), num.Dot(u, mv)
+		return math.Abs(x-y) / math.Max(math.Abs(x), math.Abs(y))
+	}
+	mg, ok := ses.solver.Precond().(*num.Multigrid)
+	if !ok {
+		t.Fatalf("preconditioner %T, want *num.Multigrid", ses.solver.Precond())
+	}
+	sym := asymmetry(mg)
+	if sym > 1e-12 {
+		t.Fatalf("symmetric cycle: ⟨M⁻¹u, v⟩ and ⟨u, M⁻¹v⟩ differ by %.2e relative, want ≤ 1e-12", sym)
+	}
+	nonsym, err := num.NewSemiGMG(a, num.GridShape{NX: ses.g.NX(), NY: ses.g.NY()}, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := asymmetry(nonsym)
+	if d < 1e-6 {
+		t.Fatalf("nonsymmetric cycle differs by only %.2e relative; the check cannot tell the cycles apart", d)
+	}
+	t.Logf("relative asymmetry: symmetric cycle %.2e, nonsymmetric cycle %.2e", sym, d)
 }

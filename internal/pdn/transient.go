@@ -173,7 +173,7 @@ func SolveTransientContext(ctx context.Context, p *TransientProblem) (*Transient
 	}
 	aDC := dcCOO.ToCSR()
 	// One cached solver per matrix for the whole run: the preconditioner
-	// (geometric multigrid at the default resolution) and Krylov
+	// (multigrid at the default resolution) and Krylov
 	// workspace are built once and shared by every solve against that
 	// matrix (all stamps here are symmetric by construction).
 	shape := num.GridShape{NX: g.NX(), NY: g.NY()}
@@ -322,13 +322,7 @@ func NewTransientSession(base *Problem, decapPerArea, dt float64) (*TransientSes
 		lagSolver: num.NewSparseSolverSymmetric(lagCO.ToCSR(), true, num.IterOptions{Tol: 1e-10, Shape: &shape}),
 		x:         make([]float64, st.n),
 		rhs:       make([]float64, st.n),
-		cacheMask: make([]bool, st.n),
-	}
-	for j := 0; j < g.NY(); j++ {
-		for i := 0; i < g.NX(); i++ {
-			u := base.Floorplan.UnitAt(g.X.Centers[i], g.Y.Centers[j])
-			ts.cacheMask[g.Index(i, j)] = u != nil && u.Kind.IsCache()
-		}
+		cacheMask: cacheMask(base, g),
 	}
 	num.Fill(ts.x, base.Supply)
 	return ts, nil

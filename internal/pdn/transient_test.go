@@ -3,6 +3,8 @@ package pdn
 import (
 	"math"
 	"testing"
+
+	"bright/internal/num"
 )
 
 func transientProblem(t *testing.T, decap, lag float64) *TransientProblem {
@@ -95,5 +97,52 @@ func TestTransientValidation(t *testing.T) {
 	p.Base = nil
 	if _, err := SolveTransient(p); err == nil {
 		t.Fatal("nil base accepted")
+	}
+}
+
+// TestTransientSessionMatchesJacobiCG: regulated and frozen steps of a
+// TransientSession at the default grid, where every solver holds
+// multigrid, agree with the same steps solved by Jacobi-preconditioned
+// CG to a tighter tolerance.
+func TestTransientSessionMatchesJacobiCG(t *testing.T) {
+	p, _, err := Power7Problem()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts, err := NewTransientSession(p, 2e-2, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := NewTransientSession(p, 2e-2, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jacobiCG := func(s *num.SparseSolver) *num.SparseSolver {
+		if _, ok := s.Precond().(*num.Multigrid); !ok {
+			t.Fatalf("session solver holds %T, want *num.Multigrid", s.Precond())
+		}
+		a := s.Matrix()
+		return num.NewSparseSolverSymmetric(a, true, num.IterOptions{Tol: 1e-13, M: num.NewJacobi(a)})
+	}
+	ref.solver, ref.lagSolver = jacobiCG(ts.solver), jacobiCG(ts.lagSolver)
+	for k, step := range []struct {
+		scale  float64
+		frozen bool
+	}{{1, false}, {1, false}, {0.3, true}, {0.3, false}, {1.5, true}, {1.5, false}, {1.5, false}} {
+		if _, _, err := ts.step(step.scale, step.frozen); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ref.step(step.scale, step.frozen); err != nil {
+			t.Fatal(err)
+		}
+		worst, scale := 0.0, 0.0
+		for i, want := range ref.x {
+			worst = math.Max(worst, math.Abs(ts.x[i]-want))
+			scale = math.Max(scale, math.Abs(want))
+		}
+		if worst > 1e-8*scale {
+			t.Fatalf("step %d (load %g, frozen %v): state differs from the Jacobi-CG reference by %.2e V, want ≤ %.2e",
+				k+1, step.scale, step.frozen, worst, 1e-8*scale)
+		}
 	}
 }

@@ -73,7 +73,7 @@ func BenchmarkThermalResponse(b *testing.B) {
 	}{
 		{"jacobi", func() (num.Preconditioner, error) { return num.NewJacobi(a), nil }},
 		{"ilu0", func() (num.Preconditioner, error) { return num.NewILU0(a) }},
-		{"mg", func() (num.Preconditioner, error) { return num.NewSemiGMG(a, shape, nil) }},
+		{"mg", func() (num.Preconditioner, error) { return num.NewSemiGMG(a, shape, nil, false) }},
 	} {
 		b.Run(pc.name, func(b *testing.B) {
 			b.ReportAllocs()
