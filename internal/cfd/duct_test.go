@@ -161,3 +161,10 @@ func TestHeatTransferCoefficientMagnitude(t *testing.T) {
 		t.Fatalf("h = %g W/m2K outside plausible microchannel range", h)
 	}
 }
+
+// HydrodynamicEntranceLength returns the developing length
+// L = 0.05 Re Dh (standard laminar estimate). It backs the model's
+// fully developed assumption; no production path needs the length.
+func HydrodynamicEntranceLength(c Channel, f Fluid, v float64) float64 {
+	return 0.05 * Reynolds(c, f, v) * c.HydraulicDiameter()
+}

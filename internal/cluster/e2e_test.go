@@ -267,7 +267,7 @@ func TestClusterEndToEnd(t *testing.T) {
 
 // TestClusterUnpolledSweepRecovers boots two real brightd processes and
 // a coordinator, submits a sweep whose chains all hash onto ONE shard,
-// and SIGKILLs that shard once it has solved a point. The client never
+// and SIGKILLs that shard as soon as it holds the sweep. The client never
 // polls the job while it runs: the coordinator's own loop must notice
 // the death, resubmit the lost chains to the surviving shard and finish
 // the job, which the client sees as jobs_active 0 in /v1/stats. Only
@@ -358,10 +358,12 @@ func TestClusterUnpolledSweepRecovers(t *testing.T) {
 	}
 	flows := perShard[loadedAddr]
 
-	// 6 chains x 2 loads = 12 points, all owned by one shard. Each chain
-	// builds its own thermal response (about 0.3s on 2 vCPU) and the
-	// shard runs one chain at a time, so after its first solved point
-	// the shard still has over a second of work left when it dies.
+	// 6 chains x 2 loads = 12 points, all owned by one shard, which runs
+	// one chain at a time and builds a thermal response before each
+	// chain's first point. The coordinator places every chain before it
+	// answers 202, so the shard already holds the sub-job; killing it
+	// then, before its first solve completes, leaves every chain to be
+	// resubmitted however fast the solver is.
 	flowsJSON, err := json.Marshal(flows)
 	if err != nil {
 		t.Fatal(err)
@@ -385,11 +387,16 @@ func TestClusterUnpolledSweepRecovers(t *testing.T) {
 
 	loadedURL := "http://" + loadedAddr
 	deadline := time.Now().Add(2 * time.Minute)
-	for backendStats(t, loadedURL).Solves == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("loaded shard never solved a point")
+	for {
+		st := backendStats(t, loadedURL)
+		if st.JobsActive >= 1 {
+			t.Logf("killing the loaded shard after %d solved points", st.Solves)
+			break
 		}
-		time.Sleep(50 * time.Millisecond)
+		if time.Now().After(deadline) {
+			t.Fatal("loaded shard never held the sweep")
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	loaded := procs[backendName[loadedAddr]]
 	if err := loaded.Process.Kill(); err != nil {

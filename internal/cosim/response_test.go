@@ -90,7 +90,7 @@ func TestRunnerMatchesDirectSolve(t *testing.T) {
 		for i, v := range tp.Power.Data {
 			power.Data[i] = v * c.cfg.ChipLoad
 		}
-		direct, err := ses.Solve(power, heat)
+		direct, err := ses.SolveContext(context.Background(), power, heat)
 		if err != nil {
 			t.Fatal(err)
 		}

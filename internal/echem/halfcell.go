@@ -147,34 +147,3 @@ func (h HalfCellState) Overpotential(i float64, mode Mode) (float64, error) {
 	}
 	return eta, nil
 }
-
-// OvervoltageBreakdown decomposes the total overpotential at current i
-// into charge-transfer and mass-transfer parts (paper eqs. (7)-(8)): the
-// mass-transfer part is the overpotential that would remain if kinetics
-// were infinitely fast (Nernstian shift from surface vs bulk
-// concentrations); the charge-transfer part is the remainder.
-type OvervoltageBreakdown struct {
-	Total          float64 // V, signed
-	ChargeTransfer float64 // V, signed
-	MassTransfer   float64 // V, signed
-}
-
-// Breakdown computes the decomposition at current density i.
-func (h HalfCellState) Breakdown(i float64, mode Mode) (OvervoltageBreakdown, error) {
-	total, err := h.Overpotential(i, mode)
-	if err != nil {
-		return OvervoltageBreakdown{}, err
-	}
-	cOxS, cRedS, err := h.SurfaceConcentrations(i, mode)
-	if err != nil {
-		return OvervoltageBreakdown{}, err
-	}
-	// Nernstian surface shift: E(surface) - E(bulk).
-	vt := ThermalVoltage(h.Temperature) / float64(h.Couple.N)
-	mt := vt * math.Log((cOxS/h.COxBulk)*(h.CRedBulk/cRedS))
-	return OvervoltageBreakdown{
-		Total:          total,
-		ChargeTransfer: total - mt,
-		MassTransfer:   mt,
-	}, nil
-}

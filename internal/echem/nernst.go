@@ -40,11 +40,6 @@ func OpenCircuitVoltage(pos, neg HalfCellState) (float64, error) {
 	return ePos - eNeg, nil
 }
 
-// StandardOCV returns E0_pos - E0_neg, the standard open-circuit voltage
-// of the pair (1.25 V for the all-vanadium system with Table I data,
-// matching the paper's quoted U0).
-func StandardOCV(pos, neg Couple) float64 { return pos.E0 - neg.E0 }
-
 // ThermalVoltage returns RT/F at temperature t, the natural scale of all
 // the exponential terms (25.7 mV at 25 C).
 func ThermalVoltage(t float64) float64 { return units.GasConstant * t / units.Faraday }

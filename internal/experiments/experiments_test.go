@@ -1,11 +1,24 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"bright/internal/obs"
 )
+
+// Check validates internal consistency; the tests run it on every
+// series an experiment returns.
+func (s Series) Check() error {
+	if len(s.X) != len(s.Y) {
+		return fmt.Errorf("experiments: series %q has %d x vs %d y", s.Name, len(s.X), len(s.Y))
+	}
+	if len(s.X) == 0 {
+		return fmt.Errorf("experiments: series %q empty", s.Name)
+	}
+	return nil
+}
 
 func TestFig3ValidationWithinTenPercent(t *testing.T) {
 	// The paper's validation criterion: model within 10% of the

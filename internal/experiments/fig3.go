@@ -13,7 +13,7 @@ import (
 // cell at 2.5, 10, 60 and 300 uL/min, comparing COMSOL against
 // experiment. Here the correlation- and FVM-path models play the role
 // of the two independent models, and Reference is a reconstruction of
-// the experimental curve (see ReferenceNote).
+// the experimental curve (see referenceCell).
 type Fig3Curve struct {
 	FlowULMin float64
 	// Model is the correlation-path polarization (X: mA/cm2, Y: V).
@@ -34,16 +34,17 @@ type Fig3Curve struct {
 	LimitingCurrentMACM2 float64
 }
 
-// ReferenceNote documents the provenance of the Fig. 3 reference data.
-const ReferenceNote = "The experimental polarization data of Kjeang et al. 2007 is not " +
-	"available offline; the Reference series is a reconstruction with the documented " +
-	"features of the published figure (open-circuit voltage depressed ~30 mV below the " +
-	"Nernst value, a stiffer ohmic slope from the graphite-rod cell, and flow-dependent " +
-	"limiting current densities of roughly 12/19/35/60 mA/cm2 growing as Q^(1/3)). The " +
-	"validation therefore checks (a) both solver paths against this descriptive reference " +
-	"within the paper's 10% band and (b) the two independent solver paths against each other."
-
-// referenceCell perturbs the Table I cell into the descriptive
+// The experimental polarization data of Kjeang et al. 2007 is not
+// available offline; the Reference series is a reconstruction with the
+// documented features of the published figure (open-circuit voltage
+// depressed ~30 mV below the Nernst value, a stiffer ohmic slope from
+// the graphite-rod cell, and flow-dependent limiting current densities
+// of roughly 12/19/35/60 mA/cm2 growing as Q^(1/3)). The validation
+// therefore checks (a) both solver paths against this descriptive
+// reference within the paper's 10% band and (b) the two independent
+// solver paths against each other.
+//
+// referenceCell perturbs the Table I cell into that descriptive
 // "experimental" reference: slightly depressed OCV (mixed-potential
 // losses at the real electrodes), a 40% stiffer contact resistance and
 // ~8% less effective flow (inlet maldistribution).

@@ -7,23 +7,10 @@
 // cmd/repro (CSV/ASCII output) and the root bench harness.
 package experiments
 
-import "fmt"
-
 // Series is one named X-Y data series.
 type Series struct {
 	Name string
 	X, Y []float64
-}
-
-// Check validates internal consistency.
-func (s Series) Check() error {
-	if len(s.X) != len(s.Y) {
-		return fmt.Errorf("experiments: series %q has %d x vs %d y", s.Name, len(s.X), len(s.Y))
-	}
-	if len(s.X) == 0 {
-		return fmt.Errorf("experiments: series %q empty", s.Name)
-	}
-	return nil
 }
 
 // maxRelDiff returns the maximum relative difference between two equal-

@@ -91,7 +91,7 @@ func TestPower7FullLoadBudget(t *testing.T) {
 
 func TestPower7CacheCurrent(t *testing.T) {
 	f := Power7()
-	i := Power7CacheCurrent(f, 1.0)
+	i := units.WPerCM2ToWPerM2(1.0) * f.CacheArea() // cache current (A) at a 1 V supply
 	// 1 W/cm2 over ~2.2 cm2 of cache at 1 V -> ~2.2 A. (The paper
 	// quotes 5 A, which corresponds to ~5 cm2 of cache — nearly the
 	// whole die; see EXPERIMENTS.md for the documented discrepancy.)

@@ -6,20 +6,14 @@ import (
 	"bright/internal/units"
 )
 
-// ManyCore generates a synthetic tiled many-core floorplan on the
-// POWER7+ die outline: rows x cols core tiles, each with an L2 slice on
-// its right third, a central L3 band, and logic/IO rims. It exercises
-// the library beyond the fixed POWER7+ layout — the paper's conclusion
-// argues for "improved architectures that minimize data motion", i.e.
-// many smaller, denser-cached tiles; this generator builds them.
-func ManyCore(rows, cols int) (*Floorplan, error) {
-	return ManyCoreWithCoreFraction(rows, cols, 2.0/3.0)
-}
-
-// ManyCoreWithCoreFraction generates the tiled floorplan with a custom
-// core share of each tile (the rest is L2). Lower core fractions model
-// the paper's "educated compromises": smaller cores with bigger caches
-// reduce the chip's power density toward full microfluidic powering.
+// ManyCoreWithCoreFraction generates a synthetic tiled many-core
+// floorplan on the POWER7+ die outline: rows x cols core tiles, each
+// with coreFrac of its width as core and the rest as an L2 slice, a
+// central L3 band, and logic/IO rims. The paper's conclusion argues for
+// "improved architectures that minimize data motion", i.e. many
+// smaller, denser-cached tiles; lower core fractions model its
+// "educated compromises": smaller cores with bigger caches reduce the
+// chip's power density toward full microfluidic powering.
 func ManyCoreWithCoreFraction(rows, cols int, coreFrac float64) (*Floorplan, error) {
 	if rows < 1 || cols < 1 {
 		return nil, fmt.Errorf("floorplan: invalid tiling %dx%d", rows, cols)

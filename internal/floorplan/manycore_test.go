@@ -13,7 +13,7 @@ func TestManyCoreGenerates(t *testing.T) {
 		{4, 8, 32},
 		{8, 8, 64},
 	} {
-		f, err := ManyCore(tc.rows, tc.cols)
+		f, err := ManyCoreWithCoreFraction(tc.rows, tc.cols, 2.0/3.0)
 		if err != nil {
 			t.Fatalf("%dx%d: %v", tc.rows, tc.cols, err)
 		}
@@ -41,13 +41,13 @@ func TestManyCoreGenerates(t *testing.T) {
 }
 
 func TestManyCoreRejectsBadTilings(t *testing.T) {
-	if _, err := ManyCore(0, 4); err == nil {
+	if _, err := ManyCoreWithCoreFraction(0, 4, 2.0/3.0); err == nil {
 		t.Fatal("zero rows accepted")
 	}
-	if _, err := ManyCore(2, 3); err == nil {
+	if _, err := ManyCoreWithCoreFraction(2, 3, 2.0/3.0); err == nil {
 		t.Fatal("odd cols accepted")
 	}
-	if _, err := ManyCore(64, 64); err == nil {
+	if _, err := ManyCoreWithCoreFraction(64, 64, 2.0/3.0); err == nil {
 		t.Fatal("absurd tiling accepted")
 	}
 }
@@ -56,11 +56,11 @@ func TestManyCorePowerScalesWithTiles(t *testing.T) {
 	// With the same power map, more tiles at the same total core area
 	// keep the core power roughly constant (the tiling conserves area).
 	pm := Power7FullLoad()
-	f8, err := ManyCore(2, 4)
+	f8, err := ManyCoreWithCoreFraction(2, 4, 2.0/3.0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f64, err := ManyCore(8, 8)
+	f64, err := ManyCoreWithCoreFraction(8, 8, 2.0/3.0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestManyCorePowerScalesWithTiles(t *testing.T) {
 }
 
 func TestManyCoreRasterizes(t *testing.T) {
-	f, err := ManyCore(4, 4)
+	f, err := ManyCoreWithCoreFraction(4, 4, 2.0/3.0)
 	if err != nil {
 		t.Fatal(err)
 	}

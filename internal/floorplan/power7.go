@@ -97,9 +97,3 @@ func Power7FullLoad() PowerMap {
 		IO:    units.WPerCM2ToWPerM2(3.0),
 	}
 }
-
-// Power7CacheCurrent returns the supply current (A) the cache regions
-// draw at the given supply voltage with the paper's 1 W/cm2 density.
-func Power7CacheCurrent(f *Floorplan, supply float64) float64 {
-	return units.WPerCM2ToWPerM2(1.0) * f.CacheArea() / supply
-}

@@ -87,11 +87,6 @@ func (a *Array) LimitingCurrent() float64 {
 	return a.Cell.LimitingCurrent() * float64(a.NChannels)
 }
 
-// TotalGeometricElectrodeArea returns the summed flat electrode area (m2).
-func (a *Array) TotalGeometricElectrodeArea() float64 {
-	return a.Cell.GeometricElectrodeArea() * float64(a.NChannels)
-}
-
 // TotalFlowRate returns the total volumetric flow (m3/s) through the
 // array (both streams of every channel).
 func (a *Array) TotalFlowRate() float64 {

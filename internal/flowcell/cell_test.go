@@ -45,7 +45,7 @@ func TestPower7CellGeometry(t *testing.T) {
 	// Shear develops across the 200 um gap.
 	approx(t, c.shearGap(), 200e-6, 1e-12, "shear gap")
 	approx(t, a.TotalFlowRate(), units.MLPerMinToM3PerS(676), 1e-9, "total flow")
-	approx(t, a.TotalGeometricElectrodeArea(), 88*400e-6*22e-3, 1e-12, "array area")
+	approx(t, a.Cell.GeometricElectrodeArea()*float64(a.NChannels), 88*400e-6*22e-3, 1e-12, "array area")
 }
 
 func TestCellOCV(t *testing.T) {

@@ -87,49 +87,6 @@ func (c *Cell) ChargingLimitingCurrent() float64 {
 	return a * c.ElectrodeArea()
 }
 
-// ChargeAtVoltage solves the charging current drawn at a terminal
-// voltage above the OCV.
-func (c *Cell) ChargeAtVoltage(voltage float64) (OperatingPoint, error) {
-	if err := c.Validate(); err != nil {
-		return OperatingPoint{}, err
-	}
-	ocv, err := c.OpenCircuitVoltage()
-	if err != nil {
-		return OperatingPoint{}, err
-	}
-	if voltage <= ocv {
-		return c.ChargeAtCurrent(0)
-	}
-	iLim := c.ChargingLimitingCurrent() - c.CrossoverCurrent()
-	if iLim <= 0 {
-		return OperatingPoint{}, fmt.Errorf("%w: no charging headroom at this state of charge", ErrBeyondLimit)
-	}
-	iHi := iLim * (1 - 1e-6)
-	opHi, err := c.ChargeAtCurrent(iHi)
-	if err != nil {
-		iHi = iLim * (1 - 1e-3)
-		if opHi, err = c.ChargeAtCurrent(iHi); err != nil {
-			return OperatingPoint{}, err
-		}
-	}
-	if voltage > opHi.Voltage {
-		return OperatingPoint{}, fmt.Errorf("%w: voltage %.4f V above the charge-limited voltage %.4f V",
-			ErrBeyondLimit, voltage, opHi.Voltage)
-	}
-	g := func(i float64) float64 {
-		op, err := c.ChargeAtCurrent(i)
-		if err != nil {
-			return 1e3 // beyond limit: voltage diverges upward
-		}
-		return op.Voltage - voltage
-	}
-	iStar, err := num.Brent(g, 0, iHi, 1e-10*iHi)
-	if err != nil {
-		return OperatingPoint{}, fmt.Errorf("flowcell: solving charge current at %g V: %w", voltage, err)
-	}
-	return c.ChargeAtCurrent(iStar)
-}
-
 // AtStateOfCharge returns a copy of the cell with both electrolytes set
 // to the given state of charge (fraction in (0, 1)) at the same total
 // vanadium concentration per side. SOC 1 is the fully charged Table II

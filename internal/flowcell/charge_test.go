@@ -86,33 +86,10 @@ func TestChargeVoltageMonotone(t *testing.T) {
 	}
 }
 
-func TestChargeAtVoltageRoundTrip(t *testing.T) {
-	c := halfChargedKjeang(t)
-	op, err := c.ChargeAtCurrent(0.4 * c.ChargingLimitingCurrent())
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := c.ChargeAtVoltage(op.Voltage)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(back.Current-op.Current)/op.Current > 1e-6 {
-		t.Fatalf("I->V->I: %g vs %g", back.Current, op.Current)
-	}
-	// At or below OCV: zero current.
-	zero, err := c.ChargeAtVoltage(op.OpenCircuit - 0.1)
-	if err != nil || zero.Current != 0 {
-		t.Fatalf("below-OCV charge: %+v err=%v", zero, err)
-	}
-}
-
 func TestChargeBeyondLimit(t *testing.T) {
 	c := halfChargedKjeang(t)
 	if _, err := c.ChargeAtCurrent(1.01 * c.ChargingLimitingCurrent()); !errors.Is(err, ErrBeyondLimit) {
 		t.Fatalf("expected ErrBeyondLimit, got %v", err)
-	}
-	if _, err := c.ChargeAtVoltage(10); !errors.Is(err, ErrBeyondLimit) {
-		t.Fatalf("expected ErrBeyondLimit at absurd voltage, got %v", err)
 	}
 	if _, err := c.ChargeAtCurrent(-1); err == nil {
 		t.Fatal("negative magnitude accepted")

@@ -214,26 +214,6 @@ func (pc PolarizationCurve) MaxPower() OperatingPoint {
 	return best
 }
 
-// VoltageAt linearly interpolates the curve's voltage at the given
-// current; it returns an error outside the swept range.
-func (pc PolarizationCurve) VoltageAt(current float64) (float64, error) {
-	if len(pc) < 2 {
-		return 0, fmt.Errorf("flowcell: curve too short")
-	}
-	if current < pc[0].Current || current > pc[len(pc)-1].Current {
-		return 0, fmt.Errorf("flowcell: current %g outside swept range [%g, %g]",
-			current, pc[0].Current, pc[len(pc)-1].Current)
-	}
-	for k := 1; k < len(pc); k++ {
-		if current <= pc[k].Current {
-			lo, hi := pc[k-1], pc[k]
-			t := (current - lo.Current) / (hi.Current - lo.Current)
-			return lo.Voltage + t*(hi.Voltage-lo.Voltage), nil
-		}
-	}
-	return pc[len(pc)-1].Voltage, nil
-}
-
 // IsMonotoneDecreasing reports whether voltage strictly decreases with
 // current along the curve — the qualitative property every physical
 // polarization curve must satisfy (asserted by tests for both paths).
@@ -244,14 +224,4 @@ func (pc PolarizationCurve) IsMonotoneDecreasing() bool {
 		}
 	}
 	return true
-}
-
-// LimitingCurrentDensityApprox returns the current density (A/m2,
-// geometric area) at the end of the sweep, an estimate of the limiting
-// current density when the sweep runs close to the limit.
-func (pc PolarizationCurve) LimitingCurrentDensityApprox() float64 {
-	if len(pc) == 0 {
-		return 0
-	}
-	return pc[len(pc)-1].CurrentDensity
 }

@@ -2,9 +2,31 @@ package flowcell
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 )
+
+// VoltageAt linearly interpolates the curve's voltage at the given
+// current; it returns an error outside the swept range. The tests use it
+// to read a swept curve between its points.
+func (pc PolarizationCurve) VoltageAt(current float64) (float64, error) {
+	if len(pc) < 2 {
+		return 0, fmt.Errorf("flowcell: curve too short")
+	}
+	if current < pc[0].Current || current > pc[len(pc)-1].Current {
+		return 0, fmt.Errorf("flowcell: current %g outside swept range [%g, %g]",
+			current, pc[0].Current, pc[len(pc)-1].Current)
+	}
+	for k := 1; k < len(pc); k++ {
+		if current <= pc[k].Current {
+			lo, hi := pc[k-1], pc[k]
+			t := (current - lo.Current) / (hi.Current - lo.Current)
+			return lo.Voltage + t*(hi.Voltage-lo.Voltage), nil
+		}
+	}
+	return pc[len(pc)-1].Voltage, nil
+}
 
 func TestPolarizationCurveShape(t *testing.T) {
 	for _, q := range KjeangFlowRatesULMin {

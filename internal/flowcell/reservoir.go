@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"bright/internal/num"
 	"bright/internal/units"
 )
 
@@ -179,88 +178,4 @@ func (r *Reservoir) TheoreticalCapacityAh(n int) float64 {
 		limiting = r.CathodeOx
 	}
 	return float64(n) * units.Faraday * limiting * r.Volume / 3600
-}
-
-// DischargeRK4 integrates the same constant-voltage discharge with a
-// fourth-order Runge-Kutta scheme on the species state instead of the
-// forward-Euler stepping of DischargeConstantVoltage. The two must
-// agree as dt shrinks; the tests use this as a cross-check of the
-// integrator-independent physics. dtChunk is the reporting interval;
-// each chunk is integrated with 4 internal RK4 stages.
-func (r *Reservoir) DischargeRK4(a *Array, voltage, dtChunk, socCutoff float64, maxChunks int) (*DischargeResult, error) {
-	if dtChunk <= 0 || maxChunks <= 0 {
-		return nil, fmt.Errorf("flowcell: invalid RK4 discharge stepping")
-	}
-	if socCutoff <= 0 || socCutoff >= 1 {
-		return nil, fmt.Errorf("flowcell: SOC cutoff %g out of (0,1)", socCutoff)
-	}
-	work := *a
-	nEl := work.Cell.Anode.Couple.N
-	res := &DischargeResult{}
-	var charge, energy float64
-	currentOf := func(state [4]float64) (float64, error) {
-		rr := *r
-		rr.AnodeOx, rr.AnodeRed, rr.CathodeOx, rr.CathodeRed = state[0], state[1], state[2], state[3]
-		rr.applyTo(&work)
-		op, err := work.CurrentAtVoltage(voltage)
-		if err != nil {
-			return 0, err
-		}
-		return op.Current, nil
-	}
-	deriv := func(t float64, y, dydt []float64) {
-		i, err := currentOf([4]float64{y[0], y[1], y[2], y[3]})
-		if err != nil {
-			i = 0 // depleted: discharge stalls
-		}
-		dmol := i / (float64(nEl) * units.Faraday) / r.Volume
-		dydt[0] = +dmol // anode Ox produced
-		dydt[1] = -dmol // anode Red consumed
-		dydt[2] = -dmol // cathode Ox consumed
-		dydt[3] = +dmol // cathode Red produced
-	}
-	state := []float64{r.AnodeOx, r.AnodeRed, r.CathodeOx, r.CathodeRed}
-	for chunk := 0; chunk < maxChunks; chunk++ {
-		r.AnodeOx, r.AnodeRed, r.CathodeOx, r.CathodeRed = state[0], state[1], state[2], state[3]
-		soc := r.StateOfCharge()
-		if soc <= socCutoff {
-			break
-		}
-		i, err := currentOf([4]float64{state[0], state[1], state[2], state[3]})
-		if err != nil || i <= 0 {
-			break
-		}
-		ocv := 0.0
-		r.applyTo(&work)
-		if ocv, err = work.Cell.OpenCircuitVoltage(); err != nil {
-			return nil, err
-		}
-		res.Points = append(res.Points, DischargePoint{
-			TimeS: float64(chunk) * dtChunk, SOC: soc, CurrentA: i,
-			PowerW: i * voltage, OCV: ocv,
-		})
-		t0 := float64(chunk) * dtChunk
-		next, err := num.RK4(deriv, state, t0, t0+dtChunk, 4)
-		if err != nil {
-			return nil, err
-		}
-		// Trapezoidal charge accounting over the chunk.
-		iNext, errNext := currentOf([4]float64{next[0], next[1], next[2], next[3]})
-		if errNext != nil {
-			iNext = 0
-		}
-		charge += 0.5 * (i + iNext) * dtChunk
-		energy += 0.5 * (i + iNext) * dtChunk * voltage
-		state = next
-		res.DurationS = t0 + dtChunk
-	}
-	r.AnodeOx, r.AnodeRed, r.CathodeOx, r.CathodeRed = state[0], state[1], state[2], state[3]
-	if len(res.Points) == 0 {
-		return nil, fmt.Errorf("%w: no dischargeable state at %g V", ErrDepleted, voltage)
-	}
-	res.CapacityAh = charge / 3600
-	res.EnergyWh = energy / 3600
-	res.EnergyDensityWhPerL = res.EnergyWh / (2 * r.Volume * 1000)
-	res.CutoffSOC = r.StateOfCharge()
-	return res, nil
 }

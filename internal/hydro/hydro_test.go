@@ -1,6 +1,7 @@
 package hydro
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -78,6 +79,35 @@ func TestMinorLossQuadratic(t *testing.T) {
 	if MinorLoss(vanadium, 0, 10) != 0 {
 		t.Fatal("zero K must give zero loss")
 	}
+}
+
+// FlowRateForPressure inverts Evaluate: the total flow rate that produces
+// the given total pressure drop (Pa). In the laminar regime the friction
+// term is linear in flow and the minor losses quadratic, so the inverse
+// solves a quadratic equation; only the positive root is physical. It is
+// the closed-form reference the tests check Evaluate against.
+func (n Network) FlowRateForPressure(dp float64) (float64, error) {
+	if err := n.Validate(); err != nil {
+		return 0, err
+	}
+	if dp <= 0 {
+		return 0, fmt.Errorf("hydro: nonpositive pressure %g", dp)
+	}
+	// dp = a*Q + b*Q^2 with per-channel Q_c = Q/N:
+	// friction: fRe*mu*L/(2 Dh^2 A) * Q_c
+	// minor:    K*rho/(2 A^2) * Q_c^2
+	area := n.Channel.Area()
+	dh := n.Channel.HydraulicDiameter()
+	nf := float64(n.NChannels)
+	a := cfd.FRe(n.Channel.AspectRatio()) * n.Fluid.Viscosity * n.Channel.Length / (2 * dh * dh * area) / nf
+	b := n.ManifoldK * n.Fluid.Density / (2 * area * area) / (nf * nf)
+	if b == 0 {
+		return dp / a, nil
+	}
+	// Positive root of b Q^2 + a Q - dp = 0.
+	disc := a*a + 4*b*dp
+	q := (-a + math.Sqrt(disc)) / (2 * b)
+	return q, nil
 }
 
 func TestEvaluateInvertsFlowRateForPressure(t *testing.T) {

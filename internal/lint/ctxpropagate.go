@@ -40,13 +40,12 @@ func servingPkg(path string) bool {
 // function or method name) to the *Context variant that must be called
 // instead on serving paths.
 var nonContextSiblings = map[[2]string]string{
-	{"cosim", "Run"}:              "cosim.RunContext",
-	{"thermal", "Solve"}:          "thermal.SolveContext",
-	{"thermal", "SolveSchedule"}:  "thermal.SolveScheduleContext",
-	{"thermal", "SolveTransient"}: "thermal.SolveTransientContext",
-	{"pdn", "SolveTransient"}:     "pdn.SolveTransientContext",
-	{"flowcell", "Polarize"}:      "PolarizeContext",
-	{"core", "Evaluate"}:          "EvaluateContext",
+	{"cosim", "Run"}:             "cosim.RunContext",
+	{"thermal", "Solve"}:         "thermal.SolveContext",
+	{"thermal", "SolveSchedule"}: "thermal.SolveScheduleContext",
+	{"pdn", "SolveTransient"}:    "pdn.SolveTransientContext",
+	{"flowcell", "Polarize"}:     "PolarizeContext",
+	{"core", "Evaluate"}:         "EvaluateContext",
 }
 
 // calleeFunc resolves the *types.Func a call invokes, when it is a

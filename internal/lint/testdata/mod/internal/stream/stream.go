@@ -15,9 +15,6 @@ func bad() error {
 	if _, err := thermal.SolveSchedule(&thermal.Problem{}); err != nil { // want ctxpropagate "thermal.SolveScheduleContext"
 		return err
 	}
-	if _, err := thermal.SolveTransient(&thermal.Problem{}); err != nil { // want ctxpropagate "thermal.SolveTransientContext"
-		return err
-	}
 	if _, err := pdn.SolveTransient(&pdn.Problem{}); err != nil { // want ctxpropagate "pdn.SolveTransientContext"
 		return err
 	}
@@ -29,9 +26,6 @@ func bad() error {
 // good threads the context into the *Context variants.
 func good(ctx context.Context) error {
 	if _, err := thermal.SolveScheduleContext(ctx, &thermal.Problem{}); err != nil {
-		return err
-	}
-	if _, err := thermal.SolveTransientContext(ctx, &thermal.Problem{}); err != nil {
 		return err
 	}
 	if _, err := pdn.SolveTransientContext(ctx, &pdn.Problem{}); err != nil {

@@ -15,11 +15,3 @@ func SolveSchedule(p *Problem) ([]*Solution, error) {
 }
 
 func SolveScheduleContext(ctx context.Context, p *Problem) ([]*Solution, error) { return nil, nil }
-
-func SolveTransient(p *Problem) (*Solution, error) {
-	return SolveTransientContext(context.Background(), p)
-}
-
-func SolveTransientContext(ctx context.Context, p *Problem) (*Solution, error) {
-	return &Solution{}, nil
-}

@@ -1,4 +1,4 @@
-// Package mesh provides structured rectilinear grids (1D/2D/3D) with
+// Package mesh provides structured rectilinear grids (1D/2D) with
 // cell-centered indexing, the discretization substrate for the
 // finite-volume transport solver, the compact thermal model and the power
 // grid. Grids may be nonuniform per axis.
@@ -52,9 +52,6 @@ func NewAxis(edges []float64) Axis {
 // N returns the number of cells on the axis.
 func (a Axis) N() int { return len(a.Centers) }
 
-// Length returns the total axis extent.
-func (a Axis) Length() float64 { return a.Edges[len(a.Edges)-1] - a.Edges[0] }
-
 // CenterSpacing returns the distance between the centers of cells i and
 // i+1 (used for gradient/conductance computation between neighbours).
 func (a Axis) CenterSpacing(i int) float64 { return a.Centers[i+1] - a.Centers[i] }
@@ -107,58 +104,8 @@ func (g *Grid2D) Index(i, j int) int {
 	return j*g.NX() + i
 }
 
-// Coords inverts Index.
-func (g *Grid2D) Coords(idx int) (i, j int) {
-	if idx < 0 || idx >= g.NumCells() {
-		panic(fmt.Sprintf("mesh: index %d out of %d", idx, g.NumCells()))
-	}
-	return idx % g.NX(), idx / g.NX()
-}
-
 // CellArea returns the area of cell (i, j).
 func (g *Grid2D) CellArea(i, j int) float64 { return g.X.Widths[i] * g.Y.Widths[j] }
-
-// Grid3D is a cell-centered 3D structured grid. Z typically indexes the
-// layer stack in the thermal model.
-type Grid3D struct {
-	X, Y, Z Axis
-}
-
-// NX returns the number of cells along X.
-func (g *Grid3D) NX() int { return g.X.N() }
-
-// NY returns the number of cells along Y.
-func (g *Grid3D) NY() int { return g.Y.N() }
-
-// NZ returns the number of cells along Z.
-func (g *Grid3D) NZ() int { return g.Z.N() }
-
-// NumCells returns the total number of cells.
-func (g *Grid3D) NumCells() int { return g.NX() * g.NY() * g.NZ() }
-
-// Index returns the flat index of cell (i, j, k): X fastest, Z slowest.
-func (g *Grid3D) Index(i, j, k int) int {
-	if i < 0 || i >= g.NX() || j < 0 || j >= g.NY() || k < 0 || k >= g.NZ() {
-		panic(fmt.Sprintf("mesh: cell (%d,%d,%d) out of %dx%dx%d", i, j, k, g.NX(), g.NY(), g.NZ()))
-	}
-	return (k*g.NY()+j)*g.NX() + i
-}
-
-// Coords inverts Index.
-func (g *Grid3D) Coords(idx int) (i, j, k int) {
-	if idx < 0 || idx >= g.NumCells() {
-		panic(fmt.Sprintf("mesh: index %d out of %d", idx, g.NumCells()))
-	}
-	i = idx % g.NX()
-	j = (idx / g.NX()) % g.NY()
-	k = idx / (g.NX() * g.NY())
-	return
-}
-
-// CellVolume returns the volume of cell (i, j, k).
-func (g *Grid3D) CellVolume(i, j, k int) float64 {
-	return g.X.Widths[i] * g.Y.Widths[j] * g.Z.Widths[k]
-}
 
 // Field2D is a scalar field on a Grid2D, stored row-major like
 // Grid2D.Index.
@@ -177,13 +124,6 @@ func (f *Field2D) At(i, j int) float64 { return f.Data[f.Grid.Index(i, j)] }
 
 // Set assigns the value at cell (i, j).
 func (f *Field2D) Set(i, j int, v float64) { f.Data[f.Grid.Index(i, j)] = v }
-
-// Fill sets every cell to v.
-func (f *Field2D) Fill(v float64) {
-	for i := range f.Data {
-		f.Data[i] = v
-	}
-}
 
 // Integrate returns the area integral of the field over the grid.
 func (f *Field2D) Integrate() float64 {

@@ -81,7 +81,7 @@ func BenchmarkBiCGSTABConvection(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x := make([]float64, n)
-		if _, err := BiCGSTAB(a, rhs, x, IterOptions{Tol: 1e-9, M: m}); err != nil {
+		if _, err := BiCGSTABWith(a, rhs, x, IterOptions{Tol: 1e-9, M: m}, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -304,7 +304,7 @@ func BenchmarkBlockCG128x128(b *testing.B) {
 	}
 	opt := IterOptions{Tol: 1e-8, M: NewJacobi(a)}
 	b.Run("seq", func(b *testing.B) {
-		ws := NewWorkspace(n)
+		ws := &Workspace{}
 		x := make([]float64, n)
 		rows0 := spmvRowsTraversed.Value()
 		b.ResetTimer()

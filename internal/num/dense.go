@@ -1,8 +1,9 @@
 // Package num is the numerical kernel of the repository: dense and sparse
-// linear algebra, iterative Krylov solvers, tridiagonal systems, scalar
-// root finding, interpolation and quadrature. It is deliberately small,
-// allocation-conscious and dependency-free; it stands in for the numerics
-// that the paper obtained from COMSOL.
+// linear algebra, iterative Krylov solvers and their preconditioners,
+// tridiagonal systems, fixed-step ODE integration, scalar root finding
+// and minimization, interpolation and quadrature. It is deliberately
+// small, allocation-conscious and dependency-free; it stands in for the
+// numerics that the paper obtained from COMSOL.
 package num
 
 import (
@@ -32,43 +33,17 @@ func NewDense(rows, cols int) *Dense {
 	return &Dense{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// At returns the element at (i, j).
-func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
 // Set assigns the element at (i, j).
 func (m *Dense) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Add accumulates v into the element at (i, j).
 func (m *Dense) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 
-// Clone returns a deep copy of m.
-func (m *Dense) Clone() *Dense {
-	c := NewDense(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
-// MulVec computes y = m*x. y must have length m.Rows and x length m.Cols.
-func (m *Dense) MulVec(x, y []float64) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic(ErrShape)
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		s := 0.0
-		for j, a := range row {
-			s += a * x[j]
-		}
-		y[i] = s
-	}
-}
-
 // LU is an LU factorization with partial pivoting of a square matrix.
 type LU struct {
-	n    int
-	lu   []float64
-	piv  []int
-	sign int
+	n   int
+	lu  []float64
+	piv []int
 }
 
 // FactorLU computes the LU factorization of the square matrix a with
@@ -78,7 +53,7 @@ func FactorLU(a *Dense) (*LU, error) {
 		return nil, ErrShape
 	}
 	n := a.Rows
-	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1}
+	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
 	copy(f.lu, a.Data)
 	for i := range f.piv {
 		f.piv[i] = i
@@ -99,7 +74,6 @@ func FactorLU(a *Dense) (*LU, error) {
 				f.lu[p*n+j], f.lu[k*n+j] = f.lu[k*n+j], f.lu[p*n+j]
 			}
 			f.piv[p], f.piv[k] = f.piv[k], f.piv[p]
-			f.sign = -f.sign
 		}
 		pivot := f.lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -160,15 +134,6 @@ func (f *LU) SolveInto(x, b []float64) error {
 	return nil
 }
 
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
-}
-
 // SolveDense solves the square dense system A x = b.
 func SolveDense(a *Dense, b []float64) ([]float64, error) {
 	f, err := FactorLU(a)
@@ -216,32 +181,11 @@ func Axpy(alpha float64, x, y []float64) {
 	axpyRange(alpha, x, y, 0, len(x))
 }
 
-// Scale multiplies x by alpha in place.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
 // Fill sets every element of x to v.
 func Fill(x []float64, v float64) {
 	for i := range x {
 		x[i] = v
 	}
-}
-
-// MaxSlice returns the maximum value in x; it panics on empty input.
-func MaxSlice(x []float64) float64 {
-	if len(x) == 0 {
-		panic("num: MaxSlice of empty slice")
-	}
-	m := x[0]
-	for _, v := range x[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // MinSlice returns the minimum value in x; it panics on empty input.

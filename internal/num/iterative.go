@@ -171,16 +171,11 @@ func CGWith(a *CSR, b, x []float64, opt IterOptions, ws *Workspace) (IterResult,
 	return IterResult{opt.MaxIter, res}, fmt.Errorf("%w: CG after %d iters, residual %.3e", ErrMaxIter, opt.MaxIter, res)
 }
 
-// BiCGSTAB solves the general (nonsymmetric) system A x = b with the
-// preconditioned stabilized bi-conjugate gradient method. x is the
+// BiCGSTABWith solves the general (nonsymmetric) system A x = b with
+// the preconditioned stabilized bi-conjugate gradient method. x is the
 // initial guess (warm-startable) and is overwritten with the solution.
-func BiCGSTAB(a *CSR, b, x []float64, opt IterOptions) (IterResult, error) {
-	return BiCGSTABWith(a, b, x, opt, nil)
-}
-
-// BiCGSTABWith is BiCGSTAB with caller-owned scratch: passing the same
-// Workspace to repeated solves makes the steady-state loop
-// allocation-free. A nil workspace allocates fresh scratch.
+// Passing the same Workspace to repeated solves makes the steady-state
+// loop allocation-free; a nil workspace allocates fresh scratch.
 func BiCGSTABWith(a *CSR, b, x []float64, opt IterOptions, ws *Workspace) (IterResult, error) {
 	n := a.Rows
 	if a.Cols != n || len(b) != n || len(x) != n {
@@ -264,18 +259,4 @@ func BiCGSTABWith(a *CSR, b, x []float64, opt IterOptions, ws *Workspace) (IterR
 		}
 	}
 	return IterResult{opt.MaxIter, res}, fmt.Errorf("%w: BiCGSTAB after %d iters, residual %.3e", ErrMaxIter, opt.MaxIter, res)
-}
-
-// SolveSparse is a convenience wrapper: it chooses CG when the matrix
-// is symmetric, BiCGSTAB otherwise, each with the preconditioner the
-// solver rule picks (see NewSparseSolverSymmetric), and returns the
-// solution in a fresh slice. Both the CG attempt and the
-// indefinite-matrix fallback to BiCGSTAB run through one SparseSolver,
-// so the symmetry scan and the preconditioner are paid exactly once;
-// callers solving repeatedly against the same matrix should hold a
-// SparseSolver themselves.
-func SolveSparse(a *CSR, b []float64, opt IterOptions) ([]float64, IterResult, error) {
-	x := make([]float64, len(b))
-	res, err := NewSparseSolver(a, opt).Solve(b, x)
-	return x, res, err
 }

@@ -108,7 +108,7 @@ func TestBiCGSTABNonsymmetric(t *testing.T) {
 		b[i] = rng.NormFloat64()
 	}
 	x := make([]float64, n)
-	_, err := BiCGSTAB(a, b, x, IterOptions{Tol: 1e-11, M: NewJacobi(a)})
+	_, err := BiCGSTABWith(a, b, x, IterOptions{Tol: 1e-11, M: NewJacobi(a)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,13 +117,15 @@ func TestBiCGSTABNonsymmetric(t *testing.T) {
 	}
 }
 
+// TestSolveSparseAutodetect: NewSparseSolver detects symmetry itself
+// and solves both kinds of system.
 func TestSolveSparseAutodetect(t *testing.T) {
 	// Symmetric path.
 	a := laplacian1D(40)
 	b := make([]float64, 40)
 	b[20] = 1
-	x, _, err := SolveSparse(a, b, IterOptions{Tol: 1e-12})
-	if err != nil {
+	x := make([]float64, len(b))
+	if _, err := NewSparseSolver(a, IterOptions{Tol: 1e-12}).Solve(b, x); err != nil {
 		t.Fatal(err)
 	}
 	if r := residual(a, x, b); r > 1e-10 {
@@ -138,8 +140,8 @@ func TestSolveSparseAutodetect(t *testing.T) {
 	c.Add(2, 2, 5)
 	an := c.ToCSR()
 	bn := []float64{1, 2, 3}
-	xn, _, err := SolveSparse(an, bn, IterOptions{Tol: 1e-12})
-	if err != nil {
+	xn := make([]float64, len(bn))
+	if _, err := NewSparseSolver(an, IterOptions{Tol: 1e-12}).Solve(bn, xn); err != nil {
 		t.Fatal(err)
 	}
 	if r := residual(an, xn, bn); r > 1e-10 {
@@ -191,7 +193,7 @@ func TestIterShapeErrors(t *testing.T) {
 	if _, err := CG(a, make([]float64, 3), make([]float64, 4), IterOptions{}); err == nil {
 		t.Fatal("CG must reject shape mismatch")
 	}
-	if _, err := BiCGSTAB(a, make([]float64, 4), make([]float64, 3), IterOptions{}); err == nil {
+	if _, err := BiCGSTABWith(a, make([]float64, 4), make([]float64, 3), IterOptions{}, nil); err == nil {
 		t.Fatal("BiCGSTAB must reject shape mismatch")
 	}
 }

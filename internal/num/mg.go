@@ -19,7 +19,8 @@ var (
 )
 
 // GridShape describes the structured grid behind a matrix whose unknowns
-// are ordered row-major with X fastest (mesh.Grid2D/Grid3D Index order).
+// are ordered row-major with X fastest, then Y, then Z (mesh.Grid2D
+// Index order, extended by layer).
 // NZ <= 1 means a 2D grid.
 type GridShape struct {
 	NX, NY, NZ int

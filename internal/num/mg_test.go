@@ -162,11 +162,11 @@ func TestAggregateGalerkin(t *testing.T) {
 	agg := aggregates(fine, coarse)
 	want, nnz := galerkinDense(a, agg, coarse.Cells())
 	got := aggregateGalerkin(a, agg, fine, coarse)
-	if got.Rows != coarse.Cells() || got.NNZ() != nnz {
-		t.Fatalf("coarse operator %d rows, %d entries; want %d rows, %d entries", got.Rows, got.NNZ(), coarse.Cells(), nnz)
+	if got.Rows != coarse.Cells() || len(got.Val) != nnz {
+		t.Fatalf("coarse operator %d rows, %d entries; want %d rows, %d entries", got.Rows, len(got.Val), coarse.Cells(), nnz)
 	}
-	if cap(got.ColIdx) != got.NNZ() || cap(got.Val) != got.NNZ() {
-		t.Fatalf("coarse operator not sized exactly: cap %d/%d for %d entries", cap(got.ColIdx), cap(got.Val), got.NNZ())
+	if cap(got.ColIdx) != len(got.Val) || cap(got.Val) != len(got.Val) {
+		t.Fatalf("coarse operator not sized exactly: cap %d/%d for %d entries", cap(got.ColIdx), cap(got.Val), len(got.Val))
 	}
 	for i := 0; i < got.Rows; i++ {
 		for k := got.RowPtr[i]; k < got.RowPtr[i+1]; k++ {
@@ -225,7 +225,7 @@ func TestSemiGMGBeatsILU0(t *testing.T) {
 		m    Preconditioner
 	}{{"ilu0", f}, {"mg", mg}} {
 		x := make([]float64, a.Rows)
-		res, err := BiCGSTAB(a, b, x, IterOptions{Tol: 1e-10, M: pc.m})
+		res, err := BiCGSTABWith(a, b, x, IterOptions{Tol: 1e-10, M: pc.m}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

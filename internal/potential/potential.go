@@ -32,11 +32,6 @@ type Problem struct {
 	SigmaFuel, SigmaOx float64
 	// NX, NY are the grid resolution (defaults 48x48).
 	NX, NY int
-	// Warm optionally carries the potential field between solves of the
-	// same cross-section at slowly varying parameters (e.g. conductivity
-	// sweeps), seeding CG from the previous field instead of the flat
-	// 0.5 V mid-gap guess. Auto-invalidates on a resolution change.
-	Warm *num.WarmStart
 }
 
 // Validate reports whether the problem is well posed.
@@ -148,9 +143,7 @@ func Solve(p *Problem) (*Solution, error) {
 	}
 	a := co.ToCSR()
 	x := make([]float64, n)
-	if !p.Warm.Seed(x) {
-		num.Fill(x, 0.5)
-	}
+	num.Fill(x, 0.5)
 	// The FV diffusion stamps are symmetric by construction: CG, no
 	// scan. The grid shape lets the preconditioner rule pick
 	// geometric multigrid at high resolutions (the default 48x48 stays
@@ -160,7 +153,6 @@ func Solve(p *Problem) (*Solution, error) {
 	if _, err := solver.Solve(b, x); err != nil {
 		return nil, fmt.Errorf("potential: field solve failed: %w", err)
 	}
-	p.Warm.Save(x)
 	sol := &Solution{Phi: &mesh.Field2D{Grid: g, Data: x}}
 	// Current through the left electrode per unit channel length.
 	for j := 0; j < ny; j++ {

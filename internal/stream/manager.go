@@ -143,9 +143,6 @@ func NewManager(opts Options) *Manager {
 // Metrics returns the registry holding the bright_stream_* series.
 func (m *Manager) Metrics() *obs.Registry { return m.opts.Registry }
 
-// IdleTimeout reports the reap horizon (for Retry-After hints).
-func (m *Manager) IdleTimeout() time.Duration { return m.opts.IdleTimeout }
-
 func newSessionID() string {
 	var b [6]byte
 	if _, err := rand.Read(b[:]); err != nil {

@@ -63,7 +63,7 @@ func TestAssembleReservationHolds(t *testing.T) {
 			if tc.exact && s.co.NNZ() != hint {
 				t.Fatalf("%d stamps, stampCount says %d", s.co.NNZ(), hint)
 			}
-			if nnz := s.co.ToCSR().NNZ(); nnz != s.co.NNZ() {
+			if nnz := len(s.co.ToCSR().Val); nnz != s.co.NNZ() {
 				t.Fatalf("%d stamps merge into %d entries: duplicate stamps", s.co.NNZ(), nnz)
 			}
 		})

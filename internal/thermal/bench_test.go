@@ -39,14 +39,14 @@ func BenchmarkSessionWarm(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := ses.Solve(nil, 0); err != nil {
+	if _, err := ses.SolveContext(context.Background(), nil, 0); err != nil {
 		b.Fatal(err)
 	}
 	heats := [...]float64{3.9, 4.0, 4.1, 4.0}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ses.Solve(nil, heats[i%len(heats)]); err != nil {
+		if _, err := ses.SolveContext(context.Background(), nil, heats[i%len(heats)]); err != nil {
 			b.Fatal(err)
 		}
 	}

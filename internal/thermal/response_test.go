@@ -24,7 +24,7 @@ func TestResponseMatchesSessionSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ses.Warm() {
+	if ses.warm {
 		t.Fatal("Response warmed the session")
 	}
 	for _, pt := range []struct{ load, heat float64 }{{1, 0}, {0.4, 3}, {1.3, 8}, {0, 2}} {
@@ -32,7 +32,7 @@ func TestResponseMatchesSessionSolve(t *testing.T) {
 		for k, v := range p.Power.Data {
 			power.Data[k] = v * pt.load
 		}
-		want, err := ses.Solve(power, pt.heat)
+		want, err := ses.SolveContext(context.Background(), power, pt.heat)
 		if err != nil {
 			t.Fatal(err)
 		}

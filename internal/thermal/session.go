@@ -74,19 +74,14 @@ func NewSession(p *Problem) (*Session, error) {
 	return ses, nil
 }
 
-// Solve computes the steady state for the given power map (nil keeps
-// the problem's map) and extra coolant heat (W), warm-starting from the
-// previous call's temperature field.
-func (ss *Session) Solve(power *mesh.Field2D, extraFluidHeat float64) (*Solution, error) {
-	return ss.SolveContext(context.Background(), power, extraFluidHeat)
-}
-
-// SolveContext is Solve with cancellation, checked before the linear
-// solve starts. Like Response it solves for the displacement from the
-// uniform inlet field, so the solver's relative tolerance scales with
-// the power and coolant heat alone, not with the inlet baseline (which
-// would loosen it by the ~300 K inlet temperature times the advection
-// conductance).
+// SolveContext computes the steady state for the given power map (nil
+// keeps the problem's map) and extra coolant heat (W), warm-starting
+// from the previous call's temperature field. The context is checked
+// before the linear solve starts. Like Response it solves for the
+// displacement from the uniform inlet field, so the solver's relative
+// tolerance scales with the power and coolant heat alone, not with the
+// inlet baseline (which would loosen it by the ~300 K inlet
+// temperature times the advection conductance).
 func (ss *Session) SolveContext(ctx context.Context, power *mesh.Field2D, extraFluidHeat float64) (*Solution, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -130,7 +125,3 @@ func (ss *Session) SolveContext(ctx context.Context, power *mesh.Field2D, extraF
 // LastIterations reports the Krylov iteration count of the most recent
 // solve — the observable measure of warm-start effectiveness.
 func (ss *Session) LastIterations() int { return ss.last.Iterations }
-
-// Warm reports whether the next solve will start from a previous
-// converged field rather than the uniform inlet temperature.
-func (ss *Session) Warm() bool { return ss.warm }

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,7 +27,7 @@ func TestSessionMatchesFreshSolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, heat := range []float64{0, 4.0, 1.5, 8.0, 0} {
-		got, err := ses.Solve(nil, heat)
+		got, err := ses.SolveContext(context.Background(), nil, heat)
 		if err != nil {
 			t.Fatalf("session solve (heat=%g): %v", heat, err)
 		}
@@ -58,17 +59,17 @@ func TestSessionWarmStartCutsIterations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ses.Warm() {
+	if ses.warm {
 		t.Fatal("new session must start cold")
 	}
-	if _, err := ses.Solve(nil, 0); err != nil {
+	if _, err := ses.SolveContext(context.Background(), nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	cold := ses.LastIterations()
-	if !ses.Warm() {
+	if !ses.warm {
 		t.Fatal("session must be warm after a converged solve")
 	}
-	if _, err := ses.Solve(nil, 0.1); err != nil {
+	if _, err := ses.SolveContext(context.Background(), nil, 0.1); err != nil {
 		t.Fatal(err)
 	}
 	warm := ses.LastIterations()
@@ -83,7 +84,7 @@ func TestSessionRejectsNegativeHeat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ses.Solve(nil, -1); err == nil {
+	if _, err := ses.SolveContext(context.Background(), nil, -1); err == nil {
 		t.Fatal("negative extra heat accepted")
 	}
 }

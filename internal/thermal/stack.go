@@ -204,17 +204,6 @@ func (s *Stack) Validate() error {
 	return nil
 }
 
-// NumCavities returns the number of channel-cavity layers.
-func (s *Stack) NumCavities() int {
-	n := 0
-	for _, l := range s.Layers {
-		if l.Kind == ChannelCavity {
-			n++
-		}
-	}
-	return n
-}
-
 // Power7Stack builds the case-study stack: a 500 um silicon die (active
 // plane at its bottom), a thin BEOL/TSV bonding layer, the 400 um etched
 // channel cavity (Table II channels) and a 300 um silicon cap.

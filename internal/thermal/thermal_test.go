@@ -56,6 +56,17 @@ func TestChannelSpec(t *testing.T) {
 	}
 }
 
+// numCavities counts the stack's channel-cavity layers.
+func numCavities(s *Stack) int {
+	n := 0
+	for _, l := range s.Layers {
+		if l.Kind == ChannelCavity {
+			n++
+		}
+	}
+	return n
+}
+
 func TestStackValidation(t *testing.T) {
 	spec := Power7ChannelSpec(units.MLPerMinToM3PerS(676), 300, VanadiumCoolant())
 	s := Power7Stack(spec)
@@ -82,10 +93,10 @@ func TestStackValidation(t *testing.T) {
 	if err := s3d.Validate(); err != nil {
 		t.Fatalf("3D stack rejected: %v", err)
 	}
-	if s3d.NumCavities() != 2 {
-		t.Fatalf("3D stack cavities = %d", s3d.NumCavities())
+	if numCavities(s3d) != 2 {
+		t.Fatalf("3D stack cavities = %d", numCavities(s3d))
 	}
-	if Power7Stack(spec).NumCavities() != 1 {
+	if numCavities(Power7Stack(spec)) != 1 {
 		t.Fatal("single stack cavities != 1")
 	}
 }
@@ -327,7 +338,7 @@ func TestTransientApproachesSteady(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The thin liquid-cooled stack settles within tens of ms.
-	tr, err := SolveTransient(p, units.CtoK(27), 5e-3, 40)
+	tr, err := SolveSchedule(p, units.CtoK(27), 5e-3, 40, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,13 +358,13 @@ func TestTransientApproachesSteady(t *testing.T) {
 
 func TestTransientValidation(t *testing.T) {
 	p := Power7Problem(676, 300, 0)
-	if _, err := SolveTransient(p, 300, 0, 10); err == nil {
+	if _, err := SolveSchedule(p, 300, 0, 10, nil); err == nil {
 		t.Fatal("zero dt accepted")
 	}
-	if _, err := SolveTransient(p, 300, 1e-3, 0); err == nil {
+	if _, err := SolveSchedule(p, 300, 1e-3, 0, nil); err == nil {
 		t.Fatal("zero steps accepted")
 	}
-	if _, err := SolveTransient(p, -5, 1e-3, 3); err == nil {
+	if _, err := SolveSchedule(p, -5, 1e-3, 3, nil); err == nil {
 		t.Fatal("negative T0 accepted")
 	}
 }

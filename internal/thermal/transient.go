@@ -25,22 +25,6 @@ type TransientResult struct {
 	Final *Solution
 }
 
-// SolveTransient integrates the thermal network with backward Euler from
-// a uniform initial temperature t0 (typically the coolant inlet): at each
-// step (A + C/dt) T^{n+1} = b + (C/dt) T^n. The matrix is constant, so
-// it is assembled and preconditioned once. Use it for power-step
-// studies: the paper's architecture promises thermal time constants in
-// the millisecond range thanks to the thin stack and embedded coolant.
-func SolveTransient(p *Problem, t0, dt float64, steps int) (*TransientResult, error) {
-	return SolveSchedule(p, t0, dt, steps, nil)
-}
-
-// SolveTransientContext is SolveTransient with cancellation, checked at
-// every step boundary.
-func SolveTransientContext(ctx context.Context, p *Problem, t0, dt float64, steps int) (*TransientResult, error) {
-	return SolveScheduleContext(ctx, p, t0, dt, steps, nil)
-}
-
 // SolveSchedule integrates the network under a time-varying power map:
 // schedule(step, time) returns the power field for the step (1-based
 // step index, time at the end of the step). A nil schedule holds
@@ -150,9 +134,6 @@ func NewTransientSession(p *Problem, t0, dt float64) (*TransientSession, error) 
 	num.Fill(ts.x, t0)
 	return ts, nil
 }
-
-// Dt returns the session's step size (s).
-func (ts *TransientSession) Dt() float64 { return ts.dt }
 
 // Grid returns the solve grid, the layout power maps passed to
 // StepContext must be rasterized on.

@@ -1,8 +1,8 @@
 // Package transport solves convective-diffusive species transport in
-// microchannel streams: engineering correlations (Leveque, Graetz) for
-// electrode mass-transfer coefficients, the co-laminar interface mixing
-// width, and a finite-volume marching solver for the full 2D
-// concentration field. This package, together with cfd, replaces the
+// microchannel streams: Leveque correlations for electrode
+// mass-transfer coefficients, the co-laminar interface mixing width,
+// and a finite-volume marching solver for the full 2D concentration
+// field. This package, together with cfd, replaces the
 // species-conservation physics (paper eq. (12)) that the authors solved
 // in COMSOL.
 package transport
@@ -41,24 +41,6 @@ func KmLevequeAvg(d, gamma, l float64) float64 {
 	return 1.5 * KmLevequeLocal(d, gamma, l)
 }
 
-// KmGraetz returns the average mass-transfer coefficient from the
-// combined Graetz-entry correlation
-//
-//	Sh = (Sh_inf^3 + 1.61^3 * Gz)^(1/3),  Gz = Re Sc Dh / L
-//
-// which recovers the Leveque scaling for short electrodes and the fully
-// developed Sherwood number Sh_inf for very long ones. shInf defaults to
-// 3.66 (constant-concentration wall in a circular-duct-equivalent) when
-// zero is passed.
-func KmGraetz(d, v, dh, l, shInf float64) float64 {
-	if shInf <= 0 {
-		shInf = 3.66
-	}
-	gz := v * dh * dh / (d * l) // = Re*Sc*Dh/L
-	sh := math.Cbrt(shInf*shInf*shInf + 1.61*1.61*1.61*gz)
-	return sh * d / dh
-}
-
 // MixingWidth returns the diffusive broadening of the co-laminar
 // interface after flowing a distance x at mean velocity v:
 // w = sqrt(2 d x / v) (one-sigma width on each side of the interface).
@@ -74,8 +56,3 @@ func MixingWidth(d, x, v float64) float64 {
 	}
 	return math.Sqrt(2 * d * x / v)
 }
-
-// PecletNumber returns Pe = v L / d, the convection/diffusion ratio used
-// to verify that axial diffusion is negligible (Pe >> 1) before applying
-// the parabolic marching solver.
-func PecletNumber(v, l, d float64) float64 { return v * l / d }

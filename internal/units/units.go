@@ -1,5 +1,5 @@
-// Package units provides physical constants, unit conversions and
-// formatting helpers shared by every physics package in the repository.
+// Package units provides the physical constants and unit conversions
+// shared by every physics package in the repository.
 //
 // All internal computation uses SI base units (m, kg, s, K, A, mol, V, W,
 // Pa). The conversion helpers exist so that package boundaries and user
@@ -7,8 +7,6 @@
 // bar, degrees Celsius, mA/cm2, W/cm2) without ad-hoc factors scattered
 // through the code.
 package units
-
-import "fmt"
 
 // Fundamental physical constants (CODATA values, SI units).
 const (
@@ -31,14 +29,10 @@ const (
 const (
 	Millimeter = 1e-3 // m
 	Micrometer = 1e-6 // m
-	Centimeter = 1e-2 // m
 )
 
-// Area conversions.
-const (
-	SquareCentimeter = 1e-4 // m2
-	SquareMillimeter = 1e-6 // m2
-)
+// SquareCentimeter is one square centimeter in m2.
+const SquareCentimeter = 1e-4
 
 // MToUM converts a length in meters to micrometers (the unit the
 // paper's channel-geometry tables use).
@@ -49,9 +43,6 @@ func UMToM(um float64) float64 { return um * Micrometer }
 
 // MToMM converts a length in meters to millimeters.
 func MToMM(m float64) float64 { return m / Millimeter }
-
-// MMToM converts a length in millimeters to meters.
-func MMToM(mm float64) float64 { return mm * Millimeter }
 
 // CtoK converts a temperature in degrees Celsius to kelvin.
 func CtoK(c float64) float64 { return c + ZeroCelsius }
@@ -71,10 +62,6 @@ func MLPerMinToM3PerS(ml float64) float64 { return ml * 1e-6 / 60.0 }
 // second to milliliters per minute.
 func M3PerSToMLPerMin(q float64) float64 { return q * 60.0 * 1e6 }
 
-// M3PerSToULPerMin converts a volumetric flow rate in cubic meters per
-// second to microliters per minute.
-func M3PerSToULPerMin(q float64) float64 { return q * 60.0 * 1e9 }
-
 // PaToBar converts a pressure in Pa to bar.
 func PaToBar(p float64) float64 { return p / Bar }
 
@@ -85,41 +72,9 @@ func BarToPa(b float64) float64 { return b * Bar }
 // unit used on the x axis of the paper's Fig. 3).
 func APerM2ToMAPerCM2(j float64) float64 { return j * 0.1 }
 
-// MAPerCM2ToAPerM2 converts a current density from mA/cm2 to A/m2.
-func MAPerCM2ToAPerM2(j float64) float64 { return j * 10.0 }
-
 // WPerM2ToWPerCM2 converts a power (or heat-flux) density from W/m2 to
 // W/cm2, the unit used for chip power densities in the paper.
 func WPerM2ToWPerCM2(q float64) float64 { return q * 1e-4 }
 
 // WPerCM2ToWPerM2 converts a power density from W/cm2 to W/m2.
 func WPerCM2ToWPerM2(q float64) float64 { return q * 1e4 }
-
-// FormatSI renders v with an SI magnitude prefix and the given unit,
-// e.g. FormatSI(2.53e-3, "Pa.s") == "2.530 mPa.s". It is intended for
-// human-readable report output, not for machine parsing.
-func FormatSI(v float64, unit string) string {
-	type prefix struct {
-		factor float64
-		symbol string
-	}
-	prefixes := []prefix{
-		{1e9, "G"}, {1e6, "M"}, {1e3, "k"},
-		{1, ""},
-		{1e-3, "m"}, {1e-6, "u"}, {1e-9, "n"}, {1e-12, "p"},
-	}
-	av := v
-	if av < 0 {
-		av = -av
-	}
-	if av == 0 {
-		return fmt.Sprintf("0 %s", unit)
-	}
-	for _, p := range prefixes {
-		if av >= p.factor {
-			return fmt.Sprintf("%.3f %s%s", v/p.factor, p.symbol, unit)
-		}
-	}
-	last := prefixes[len(prefixes)-1]
-	return fmt.Sprintf("%.3f %s%s", v/last.factor, last.symbol, unit)
-}

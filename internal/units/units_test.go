@@ -2,7 +2,6 @@ package units
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -51,7 +50,6 @@ func TestFlowRateConversion(t *testing.T) {
 	approx(t, MLPerMinToM3PerS(676), 1.12667e-5, 1e-4, "676 ml/min")
 	// Round trips.
 	approx(t, M3PerSToMLPerMin(MLPerMinToM3PerS(48)), 48, 1e-12, "ml/min round trip")
-	approx(t, M3PerSToULPerMin(ULPerMinToM3PerS(2.5)), 2.5, 1e-12, "uL/min round trip")
 	// 1 ml/min is 1000 uL/min.
 	approx(t, MLPerMinToM3PerS(1), ULPerMinToM3PerS(1000), 1e-15, "ml vs uL")
 }
@@ -65,15 +63,13 @@ func TestPressureConversion(t *testing.T) {
 func TestCurrentDensityConversion(t *testing.T) {
 	// 1 A/m2 == 0.1 mA/cm2; 50 mA/cm2 (Fig. 3 axis max) == 500 A/m2.
 	approx(t, APerM2ToMAPerCM2(1), 0.1, 1e-12, "A/m2 -> mA/cm2")
-	approx(t, MAPerCM2ToAPerM2(50), 500, 1e-12, "mA/cm2 -> A/m2")
-	approx(t, MAPerCM2ToAPerM2(APerM2ToMAPerCM2(777)), 777, 1e-12, "round trip")
+	approx(t, APerM2ToMAPerCM2(500), 50, 1e-12, "A/m2 -> mA/cm2")
 }
 
 func TestLengthConversion(t *testing.T) {
 	// Paper Table II: 200 um channel width, 22 mm channel length.
 	approx(t, UMToM(200), 200e-6, 1e-12, "200um -> m")
 	approx(t, MToUM(200e-6), 200, 1e-12, "m -> 200um")
-	approx(t, MMToM(22), 22e-3, 1e-12, "22mm -> m")
 	approx(t, MToMM(22e-3), 22, 1e-12, "m -> 22mm")
 
 	// Quick-check round trips: the helpers must be exact inverses to
@@ -89,7 +85,6 @@ func TestLengthConversion(t *testing.T) {
 		}
 	}
 	roundTrip(MToUM, UMToM, "m<->um")
-	roundTrip(MToMM, MMToM, "m<->mm")
 	roundTrip(CtoK, KtoC, "C<->K")
 	roundTrip(PaToBar, BarToPa, "Pa<->bar")
 }
@@ -98,27 +93,4 @@ func TestPowerDensityConversion(t *testing.T) {
 	// 26.7 W/cm2 (POWER7+ peak) == 2.67e5 W/m2.
 	approx(t, WPerCM2ToWPerM2(26.7), 2.67e5, 1e-12, "W/cm2 -> W/m2")
 	approx(t, WPerM2ToWPerCM2(WPerCM2ToWPerM2(0.77)), 0.77, 1e-12, "round trip")
-}
-
-func TestFormatSI(t *testing.T) {
-	cases := []struct {
-		v    float64
-		unit string
-		want string
-	}{
-		{2.53e-3, "Pa.s", "mPa.s"},
-		{1.5e5, "Pa", "kPa"},
-		{0, "W", "0 W"},
-		{4.4, "W", "4.400 W"},
-		{2e-7, "m", "nm"}, // 200.000 nm
-	}
-	for _, c := range cases {
-		got := FormatSI(c.v, c.unit)
-		if !strings.Contains(got, c.want) {
-			t.Errorf("FormatSI(%g,%q) = %q, want substring %q", c.v, c.unit, got, c.want)
-		}
-	}
-	if got := FormatSI(-3.3e5, "Pa"); !strings.Contains(got, "-330.000 kPa") {
-		t.Errorf("negative FormatSI = %q", got)
-	}
 }

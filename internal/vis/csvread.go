@@ -46,59 +46,3 @@ func ReadCSVSeries(r io.Reader) (headers []string, columns [][]float64, err erro
 	}
 	return headers, columns, nil
 }
-
-// ReadCSVMatrix parses a matrix written by WriteCSVMatrix: an "y\x"
-// header carrying x coordinates, then one row per y with the leading y
-// coordinate. It returns the coordinate vectors and the values indexed
-// [row][col].
-func ReadCSVMatrix(r io.Reader) (xs, ys []float64, values [][]float64, err error) {
-	sc := bufio.NewScanner(r)
-	first := true
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		fields := strings.Split(text, ",")
-		if first {
-			first = false
-			if len(fields) < 2 || !strings.Contains(fields[0], `y\x`) {
-				return nil, nil, nil, fmt.Errorf("vis: line %d: not a matrix header", line)
-			}
-			for _, f := range fields[1:] {
-				v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-				if err != nil {
-					return nil, nil, nil, fmt.Errorf("vis: header x: %w", err)
-				}
-				xs = append(xs, v)
-			}
-			continue
-		}
-		if len(fields) != len(xs)+1 {
-			return nil, nil, nil, fmt.Errorf("vis: line %d has %d fields, want %d", line, len(fields), len(xs)+1)
-		}
-		y, err := strconv.ParseFloat(strings.TrimSpace(fields[0]), 64)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("vis: line %d y: %w", line, err)
-		}
-		ys = append(ys, y)
-		row := make([]float64, len(xs))
-		for c, f := range fields[1:] {
-			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
-			if err != nil {
-				return nil, nil, nil, fmt.Errorf("vis: line %d col %d: %w", line, c, err)
-			}
-			row[c] = v
-		}
-		values = append(values, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, nil, nil, err
-	}
-	if xs == nil || ys == nil {
-		return nil, nil, nil, fmt.Errorf("vis: empty matrix CSV")
-	}
-	return xs, ys, values, nil
-}

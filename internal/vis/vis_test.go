@@ -66,7 +66,9 @@ func TestASCIIHeatmapFlipY(t *testing.T) {
 func TestASCIIHeatmapConstantField(t *testing.T) {
 	g := mesh.NewUniformGrid2D(1, 1, 5, 5)
 	f := mesh.NewField2D(g)
-	f.Fill(3)
+	for i := range f.Data {
+		f.Data[i] = 3
+	}
 	out := ASCIIHeatmap(f, HeatmapOptions{})
 	if out == "" || !strings.Contains(out, "scale:") {
 		t.Fatal("constant field must render without dividing by zero")

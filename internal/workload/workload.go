@@ -112,16 +112,6 @@ func (t *Trace) TotalDuration() float64 {
 	return d
 }
 
-// At returns the utilization at the given time, honoring the trace's
-// wrap-vs-clamp semantics (see Trace).
-func (t *Trace) At(time float64) Utilization {
-	k := t.PhaseIndexAt(time)
-	if k < 0 {
-		return Utilization{}
-	}
-	return t.Phases[k].Util
-}
-
 // PhaseIndexAt returns the index of the phase active at the given time
 // (-1 for an empty trace). Phase intervals are half-open: phase k spans
 // [edge(k), edge(k+1)) where edge(k) is the cumulative duration of the

@@ -9,6 +9,17 @@ import (
 	"bright/internal/mesh"
 )
 
+// At returns the utilization at the given time, honoring the trace's
+// wrap-vs-clamp semantics (see Trace). The tests read traces with it;
+// production steps phases by index.
+func (t *Trace) At(time float64) Utilization {
+	k := t.PhaseIndexAt(time)
+	if k < 0 {
+		return Utilization{}
+	}
+	return t.Phases[k].Util
+}
+
 func approx(t *testing.T, got, want, rel float64, msg string) {
 	t.Helper()
 	if math.Abs(got-want) > rel*math.Abs(want) {
